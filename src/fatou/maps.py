@@ -171,19 +171,11 @@ def _poly_tail(coeffs: tuple, x, start: int):
     """sum_k coeffs[k] * x^(start+k), Horner form; works on scalars and arrays."""
     if not coeffs:
         return np.zeros_like(x)
-    acc = np.zeros_like(x) + coeffs[-1]
+    acc = coeffs[-1] + 0j   # as 0 + c: a -0.0 part becomes 0.0
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc * x**start
-
-
-def _cexpm1(x):
-    """exp(x) - 1 for complex arrays without cancellation near 0."""
-    xr = np.real(x)
-    xi = np.imag(x)
-    return (np.expm1(xr) * np.cos(xi) - 2.0 * np.sin(xi / 2.0) ** 2) + 1j * (
-        np.sin(xi) * np.exp(xr)
-    )
+        acc = acc * x
+        acc += c
+    return acc * x if start == 1 else acc * x**start
 
 
 def _apply_elem(em: ElementaryMap, z, w):
@@ -237,30 +229,46 @@ class FastPath:
 
 
 def _fast_forward(fp: FastPath, z, w):
+    """One step of a Bl-conjugated preset in closed form: with s = z + z^l w,
+    zA = z e^s and zu = z e^zA, the image is zu and
+    (z^l w - z (e^s - 1) + g(zu)) / z^l * e^{(l+1) zu - l zA + f(zu)} e^{i theta}.
+
+    Operand order is fixed, since complex * is not bitwise commutative when
+    the compiled loop fuses a multiply-add, and no complex product writes
+    over an operand: a one-element product in place takes a loop without
+    the fused multiply-add.  |z| < AXIS_THRESHOLD, or z^l underflow at
+    finite z, takes the removable-singularity limit (0, e^{i theta} w);
+    overflowed z stays on the escape path.
+    """
     l = fp.l
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         zl = z * z if l == 2 else z**l
-        s = z + zl * w
-        em1 = _cexpm1(s)          # e^{z + z^l w} - 1
-        zA = z * (em1 + 1.0)      # z e^{z + z^l w}
-        u = np.exp(zA)            # e^{z e^{z + z^l w}}
-        zu = z * u                # first component
-        brac = zl * w - z * em1 + _poly_tail(fp.shear, zu, 2)
-        expo = (l + 1) * zu - l * zA
+        zlw = zl * w
+        s = z + zlw
+        xr, xi = s.real, s.imag
+        em1 = np.expm1(xr) * np.cos(xi) - 2.0 * np.sin(xi / 2.0) ** 2
+        em1 = em1 + 1j * (np.sin(xi) * np.exp(xr))   # e^s - 1, no cancellation at 0
+        zA = z * (em1 + 1.0)
+        zu = z * np.exp(zA)
+        brac = zlw - z * em1
+        brac += _poly_tail(fp.shear, zu, 2)
+        expo = (l + 1) * zu
+        expo -= l * zA
         if fp.overshear:
-            expo = expo + _poly_tail(fp.overshear, zu, 1)
-        w1 = (brac / zl) * np.exp(expo)
-    rot = cmath.exp(1j * fp.theta) if fp.theta else 1.0
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            expo += _poly_tail(fp.overshear, zu, 1)
+        brac /= zl
+        w1 = brac * np.exp(expo)
+        rot = cmath.exp(1j * fp.theta) if fp.theta else 1.0
         if fp.theta:
             w1 = w1 * rot
-        # tiny |z| (including z^l underflow at finite z) takes the removable-
-        # singularity limit; overflowed z stays on the escape path instead
         az = np.abs(z)
-        axis = (az < AXIS_THRESHOLD) | ((zl == 0) & (az < np.inf))
-        z1 = np.where(axis, 0.0 * z, zu)
-        w1 = np.where(axis, w * rot, w1)
-    return z1, w1
+        axis = az < AXIS_THRESHOLD
+        underflow = zl == 0
+        if np.count_nonzero(axis) or np.count_nonzero(underflow):
+            axis |= underflow & (az < np.inf)
+            zu = np.where(axis, 0.0 * z, zu)
+            w1 = np.where(axis, w * rot, w1)
+    return zu, w1
 
 
 def _fast_inverse_axis(fp: FastPath, w):
@@ -292,8 +300,7 @@ class AutoMap:
         w = np.asarray(w, dtype=np.complex128)
         if self.fastpath is not None and use_fastpath:
             return _fast_forward(self.fastpath, z, w)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                         divide="ignore"):
+        with np.errstate(all="ignore"):
             for em in self.pipeline:
                 z, w = _apply_elem(em, z, w)
         return z, w

@@ -39,7 +39,8 @@ import numpy as np
 import pytest
 
 from fatou.algebra import Series2, series2_exp, series2_mul, tri_index
-from fatou.diophantine import GOLDEN, check_sector_lemma, check_siegel, max_c_detail
+from fatou.diophantine import GOLDEN, SILVER, check_sector_lemma, check_siegel, \
+    max_c_detail
 from fatou.dynamics import (
     EMPIRICAL_MIN_N,
     Grid2D,
@@ -342,13 +343,22 @@ def test_criterion_6_diophantine():
         fibs.add(s[-1] + s[-2])
     fib_ok = all(k in fibs for k, _ in running) and argmin in fibs
 
+    # golden at N = 1 keeps k = 1 as its only running minimum; silver at
+    # N = 1/2 sets a new minimum at every Pell denominator q_{n+1} = 2 q_n + q_{n-1}
+    pell = [1, 2]
+    while 2 * pell[-1] + pell[-2] <= 10**5:
+        pell.append(2 * pell[-1] + pell[-2])
+    silver_running = max_c_detail(SILVER, 0.5, 10**5)[3]
+    pell_ok = [k for k, _ in silver_running] == pell
+
     rep = check_sector_lemma(GOLDEN, [0.999, 1.001], 10**3)
     sector_ok = all(not res["final_violations"] for res in rep.results.values())
 
-    ok = cert_ok and fib_ok and sector_ok
+    ok = cert_ok and fib_ok and pell_ok and sector_ok
     assert report(
         "6", ok,
         f"certificate(c=max_c, k<=1e5)={cert_ok}, minima Fibonacci={fib_ok}, "
+        f"silver N=1/2 minima are the {len(pell)} Pell numbers <= 1e5={pell_ok}, "
         f"sector final conclusion={sector_ok}",
     )
 

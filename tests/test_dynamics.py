@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,39 @@ def test_rotation_argument_gap():
     args = np.sort(np.array(args))
     gaps = np.diff(args)
     assert gaps.min() < 2 * math.pi / 100
+
+
+# -- floating-point state -----------------------------------------------------------
+
+
+def test_escaping_seeds_leave_no_warning_and_errstate_unchanged():
+    # overflow is data or a typed error: no RuntimeWarning reaches the
+    # caller, and the caller's numpy error state is left as it was
+    esc_z = np.array([0.9, 1.0, -1 / 6.5])
+    esc_w = np.array([600, 700, 0.5 + 0j])
+    zh = to_transformed(esc_z)
+    grid = Grid2D(complex(zh[0]), 600 + 0j, 2, 2, 1e-3)
+    calls = [
+        lambda: H0.eval_batch(esc_z, esc_w),
+        lambda: iterate(H0, (0.9, 600.0), 50),
+        lambda: check_growth_bounds(H0, zh, esc_w, 50),
+        lambda: verify_forward_invariance(H0, RegionUNM(0.5, 1000.0), 50, 50),
+        lambda: check_equivariance(
+            H0, estimate_limit_map(H0, grid, tol=1e-12, n_max=200), n_max=200),
+        lambda: track_product_sum_batch(H0, zh, esc_w, 50),
+        lambda: track_product_sum(H0, (complex(zh[0]), 600.0), 50),
+        lambda: waxis_coverage(H0, 600.0, 0.9, ring_samples=16, n_max=100),
+        lambda: invariant_curve(H0, (0.3, 5.0), (0, 0), 4, 50, 1e-2),
+    ]
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            before = np.geterr()
+            try:
+                call()
+            except (ArithmeticError, ValueError):
+                pass
+            assert np.geterr() == before
 
 
 # -- halton determinism --------------------------------------------------------------
