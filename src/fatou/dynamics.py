@@ -19,6 +19,7 @@ region lives in); the rank verdict is chart-independent.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -207,7 +208,7 @@ def iterate(m: AutoMap, seed, n_max: int, record_every: int = 1, *,
 
     z, w = np.array([z0]), np.array([w0])
     record(0, z, w)
-    z, w, n_done, sup_delta, P, S, _ = _lockstep_iterate(
+    z, w, n_done, sup_delta, P, S = _lockstep_iterate(
         m, z, w, stop_tol, n_max, check_every=1, track_products=True,
         on_step=on_step, finite_only=True)
     converged = stop_tol is not None and sup_delta < stop_tol
@@ -234,11 +235,11 @@ def orbit_csv_rows(record: OrbitRecord):
 # -- vectorized engines -------------------------------------------------------
 
 
-def _freeze_nonfinite(z, w, alive):
-    bad = ~(np.isfinite(z.real) & np.isfinite(z.imag)
-            & np.isfinite(w.real) & np.isfinite(w.imag))
-    bad |= (np.abs(z) > ESCAPE_RADIUS) | (np.abs(w) > ESCAPE_RADIUS)
-    return bad & alive
+def _escaped(z, w):
+    """Points that are not finite or lie beyond ESCAPE_RADIUS."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (~(np.isfinite(z) & np.isfinite(w))
+                | (np.abs(z) > ESCAPE_RADIUS) | (np.abs(w) > ESCAPE_RADIUS))
 
 
 def check_growth_bounds(m: AutoMap, zhat0, w0, n_steps: int):
@@ -387,16 +388,14 @@ def _lockstep_iterate(m: AutoMap, z, w, tol: float | None, n_max: int, *,
     rows (z, 0) and (z, w).  on_step(n, z, w, P, S) runs after every step
     and returns True to stop.  finite_only (with track_products, stride 1)
     stops before a step whose kernel output is not finite.
-    Returns (z, w, n_used, sup_delta, P, S, max_identity_defect).
+    Returns (z, w, n_used, sup_delta, P, S).
     """
     z = np.array(z, dtype=complex)
     w = np.array(w, dtype=complex)
-    w0 = w.copy()
     P = np.ones_like(w)
     S = np.zeros_like(w)
     zz = np.empty((2,) + z.shape, dtype=complex)   # rows (z, 0) and (z, w)
     ww = np.zeros_like(zz)
-    defect = 0.0
     n = 0
     since_check = 0
     sup_delta = math.inf
@@ -411,7 +410,7 @@ def _lockstep_iterate(m: AutoMap, z, w, tol: float | None, n_max: int, *,
                 ww[1] = w1
                 zo, wo = m.eval_batch(zz, ww)
                 if finite_only and not (np.isfinite(zo).all() and np.isfinite(wo).all()):
-                    return z, w, n, sup_delta, P, S, defect
+                    return z, w, n, sup_delta, P, S
                 s_j = wo[0]
                 mult = np.where(w1 != 0, (wo[1] - s_j) / np.where(w1 != 0, w1, 1.0), 1.0 + 0j)
                 P = P * mult
@@ -419,9 +418,6 @@ def _lockstep_iterate(m: AutoMap, z, w, tol: float | None, n_max: int, *,
                 z1, w1 = zo[1], wo[1]
             z_prev, w_prev, z, w = z, w, z1, w1
             n += stride
-            if track_products:
-                d = np.abs(w - (w0 * P + S)) / np.maximum(1.0, np.abs(w))
-                defect = max(defect, float(np.fmax.reduce(d, axis=None)))
             if on_step is not None and on_step(n, z, w, P, S):
                 break
             since_check += 1
@@ -431,7 +427,13 @@ def _lockstep_iterate(m: AutoMap, z, w, tol: float | None, n_max: int, *,
                 sup_delta = float(np.fmax.reduce(deltas, axis=None))
                 if sup_delta < tol:
                     break
-    return z, w, n, sup_delta, P, S, defect
+    return z, w, n, sup_delta, P, S
+
+
+def _identity_defect(w0, w, P, S) -> float:
+    """max |w_n - (w_0 P_n + S_n)| / max(1, |w_n|): the split's rounding drift."""
+    d = np.abs(w - (w0 * P + S)) / np.maximum(1.0, np.abs(w))
+    return float(np.fmax.reduce(d, axis=None))
 
 
 def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
@@ -456,8 +458,9 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
             return _rotation_oscillation_estimate(m, grid, tol, n_max, tau1, tau2)
         zhat, w = grid.seeds()
         z = np.asarray(from_transformed(zhat))
-        z, w, n_used, sup_delta, _, _, _ = _lockstep_iterate(
+        z, w, n_used, sup_delta, _, _ = _lockstep_iterate(
             m, z.ravel(), w.ravel(), tol, n_max, stride=q)
+        _raise_on_escape(m, grid, z, w, n_used, q)
         shape = (grid.nz, grid.nw)
         endz = z.reshape(shape)
         endw = w.reshape(shape)
@@ -467,11 +470,41 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
         return est
     zhat, w = grid.seeds()
     z = np.asarray(from_transformed(zhat))
-    z, w, n_used, sup_delta, _, _, _ = _lockstep_iterate(
+    z, w, n_used, sup_delta, _, _ = _lockstep_iterate(
         m, z.ravel(), w.ravel(), tol, n_max)
+    _raise_on_escape(m, grid, z, w, n_used)
     shape = (grid.nz, grid.nw)
     return _finish_estimate(m, grid, z.reshape(shape), w.reshape(shape),
                             n_used, sup_delta, tol, tau1, tau2, n_max)
+
+
+def _raise_on_escape(m, grid, z, w, n_used, stride=1):
+    """Raise MapEscapeError naming the grid nodes whose orbits escaped.
+
+    z, w are the lockstep end points; the escaped seeds alone are run again
+    to find the step at which each escaped.
+    """
+    idx = np.flatnonzero(_escaped(z, w))
+    if idx.size == 0:
+        return
+    zhat, w0 = (a.ravel()[idx] for a in grid.seeds())
+    steps = np.zeros(idx.size, dtype=int)
+
+    def on_step(n, z, w, P, S):
+        steps[(steps == 0) & _escaped(z, w)] = n
+        return steps.all()
+
+    _lockstep_iterate(m, from_transformed(zhat), w0, None, n_used, stride=stride,
+                      on_step=on_step)
+    steps[steps == 0] = n_used
+    named = ", ".join(
+        f"node {divmod(int(i), grid.nw)} (zhat, w) = ({zh}, {ww}) at step {n}"
+        for i, zh, ww, n in list(zip(idx, zhat, w0, steps))[:4])
+    raise MapEscapeError(
+        (complex(zhat[0]), complex(w0[0])),
+        f"{idx.size} of {grid.nz * grid.nw} grid seeds escaped (not finite or "
+        f"beyond {ESCAPE_RADIUS:g}) within {n_used} steps: {named}"
+        + (", ..." if idx.size > 4 else ""))
 
 
 def _finish_estimate(m, grid, limz, limw, n_used, sup_delta, tol, tau1, tau2,
@@ -519,7 +552,7 @@ def _rotation_oscillation_estimate(m, grid, tol, n_max, tau1, tau2):
             mods[n - burn - 1] = np.abs(w)
             args[n - burn - 1] = np.angle(w)
 
-    z, w, _, _, _, _, _ = _lockstep_iterate(
+    z, w, _, _, _, _ = _lockstep_iterate(
         m, from_transformed(zhat).ravel(), w.ravel(), None, burn + window, on_step=on_step)
     tail_var = float(np.max(mods.max(axis=0) - mods.min(axis=0)))
     bins = np.floor((args + np.pi) / (2 * np.pi) * 1000).astype(int) % 1000
@@ -561,13 +594,21 @@ def track_product_sum(m: AutoMap, seed_transformed, n_max: int,
     zh, w0 = complex(seed_transformed[0]), complex(seed_transformed[1])
     record_every = record_every or max(1, n_max // 64)
     partials = []
+    w0_row = np.array([w0])
+    defect = 0.0
 
     def on_step(n, z, w, P, S):
+        nonlocal defect
+        if not (cmath.isfinite(P[0]) and cmath.isfinite(S[0])):
+            raise MapEscapeError(
+                (zh, w0), f"product/sum partials are not finite at step {n}: the "
+                f"orbit of the seed (zhat, w) = ({zh}, {w0}) escaped")
+        defect = max(defect, _identity_defect(w0_row, w, P, S))
         if n % record_every == 0 or n == n_max:
             partials.append((n, complex(P[0]), complex(S[0])))
 
-    _, _, n, _, P, S, defect = _lockstep_iterate(
-        m, from_transformed(np.array([zh])), [w0], None, n_max,
+    _, _, n, _, P, S = _lockstep_iterate(
+        m, from_transformed(np.array([zh])), w0_row, None, n_max,
         track_products=True, on_step=on_step)
     cauchy_ok = _dyadic_cauchy([p for _, p, _ in partials]) and _dyadic_cauchy(
         [s for _, _, s in partials]
@@ -584,8 +625,15 @@ def track_product_sum(m: AutoMap, seed_transformed, n_max: int,
 def track_product_sum_batch(m: AutoMap, zhat, w, n_max: int, tol: float = 0.0):
     """Vectorized product/sum split; returns (P, S, identity_defect, n_used)."""
     z = from_transformed(np.asarray(zhat, dtype=complex))
-    z, w, n_used, _, P, S, defect = _lockstep_iterate(
-        m, z.ravel(), np.ravel(w), tol, n_max, track_products=True)
+    w0 = np.array(np.ravel(w), dtype=complex)
+    defect = 0.0
+
+    def on_step(n, z, w, P, S):
+        nonlocal defect
+        defect = max(defect, _identity_defect(w0, w, P, S))
+
+    z, w, n_used, _, P, S = _lockstep_iterate(
+        m, z.ravel(), w0, tol, n_max, track_products=True, on_step=on_step)
     return P, S, defect, n_used
 
 
@@ -628,7 +676,7 @@ def waxis_coverage(m: AutoMap, R: float, z0: complex, ring_samples: int = 256,
     phis = 2 * np.pi * np.arange(ring_samples) / ring_samples
     w_circle = 2 * R * np.exp(1j * phis)
     z = np.full(ring_samples, complex(z0))
-    z, w_img, n_used, sup_delta, _, _, _ = _lockstep_iterate(
+    z, w_img, n_used, sup_delta, _, _ = _lockstep_iterate(
         m, z, w_circle.copy(), tol, n_max)
     pre = float(np.max(np.abs(w_img - w_circle)))
     if not pre < R:
@@ -759,7 +807,7 @@ def check_equivariance(m: AutoMap, estimate: LimitMapEstimate, *,
     z = np.asarray(from_transformed(zhat)).ravel()
     w = np.asarray(w, dtype=complex).ravel()
     fz, fw = m.eval_batch(z, w)
-    hz, hw, _, _, _, _, _ = _lockstep_iterate(m, fz, fw, tol, n_max, stride=stride)
+    hz, hw, _, _, _, _ = _lockstep_iterate(m, fz, fw, tol, n_max, stride=stride)
     fhz, fhw = m.eval_batch(estimate.limits_z.ravel(), estimate.limits_w.ravel())
     defect = np.maximum(np.abs(hz - fhz), np.abs(hw - fhw))
     return float(np.max(defect))

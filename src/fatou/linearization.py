@@ -16,7 +16,10 @@ divisor-free part eta (whose generating function solves a scalar implicit
 equation with a computable radius 1/b) and a divisor-only part delta
 (a max over compositions, computed by a pairwise dynamic program).  The
 growth rate a of delta and the radius parameter b give the convergence
-radius estimate rho = 1/(a b M).
+radius estimate rho = 1/(a b M).  sigma and eta come from one online
+recursion in O(D^2) through sum_{nu>=2} (nu+1) s^nu = (1-s)^-2 - 1 - 2s;
+a degree whose value is not finite in double precision raises
+MajorantOverflowError naming the sequence and the degree.
 
 Each degree-n step is computed at truncation order exactly n, so the
 coefficients are bitwise independent of the requested total order D
@@ -49,6 +52,7 @@ __all__ = [
     "SmallDivisors",
     "LinearizationResult",
     "MajorantSplit",
+    "MajorantOverflowError",
     "EtaRadius",
     "compute_small_divisors",
     "solve_psi",
@@ -72,6 +76,10 @@ DD_ESCALATION_THRESHOLD = 1e-8
 
 class SmallDivisorError(ArithmeticError):
     pass
+
+
+class MajorantOverflowError(ArithmeticError):
+    """A majorant coefficient is not finite in double precision."""
 
 
 @dataclass
@@ -237,13 +245,13 @@ def solve_psi(F_jet, lam: complex, D: int, *, precision: str = "auto",
 
     N_pair = _nonlinear_part(F_jet, lam)
     M = _jet_max_norm(F_jet)
+    sigma = majorant_sigma(M, divisors, D)  # raises before the costly solve
 
     if mode == "dd":
         psi = _solve_recursion_dd(N_pair, lam, D)
     else:
         psi = _solve_recursion(N_pair, divisors, D)
 
-    sigma = majorant_sigma(M, divisors, D)
     norms = psi.norms().astype(float)
     majorant_ok = bool(np.all(norms[2:] <= sigma[2:] * (1 + 1e-9) + 1e-300))
 
@@ -325,40 +333,45 @@ def residual(psi: Series1C2, F_jet, lam: complex, radius: float,
 # -- majorants ---------------------------------------------------------------
 
 
-def _power_coefficient_sum(s: np.ndarray, n: int) -> float:
-    """[w^n] of sum_{nu>=2} (nu+1) s(w)^nu for s with s[0] = 0."""
-    acc = 0.0
-    t = np.convolve(s[: n + 1], s[: n + 1])[: n + 1]  # s^2
-    for nu in range(2, n + 1):
-        acc += (nu + 1) * t[n]
-        if nu < n:
-            t = np.convolve(t, s[: n + 1])[: n + 1]
-    return acc
+def _majorant_recursion(M: float, eps: np.ndarray, D: int, name: str) -> np.ndarray:
+    """s_1 = 1 and s_n = (M / eps_n) [w^n] sum_{nu>=2} (nu+1) s(w)^nu.
+
+    With g = 1/(1 - s) the sum is g^2 - 1 - 2s, whose degree-n coefficient
+    2 h_n + sum_{k=1}^{n-1} g_k g_{n-k} does not involve s_n, where
+    h_n = sum_{k=1}^{n-1} s_k g_{n-k} and g_n = h_n + s_n.  Two dot products
+    per degree, O(D^2) in all.  Raises MajorantOverflowError, naming the
+    sequence and n, at the first degree whose value is not finite.
+    """
+    s = np.zeros(D + 1)
+    g = np.zeros(D + 1)
+    s[1] = g[1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, typed
+        for n in range(2, D + 1):
+            g_rev = g[n - 1:0:-1]  # g_{n-1}, ..., g_1
+            h = float(np.dot(s[1:n], g_rev))
+            s[n] = M / eps[n] * (2.0 * h + float(np.dot(g[1:n], g_rev)))
+            if not math.isfinite(s[n]):
+                raise MajorantOverflowError(
+                    f"majorant {name}_n is not finite at degree n = {n} "
+                    f"(M = {M:g}); lower the order below {n}"
+                )
+            g[n] = h + s[n]
+    return s
 
 
 def majorant_sigma(M: float, divisors: SmallDivisors, D: int) -> np.ndarray:
     """The majorant recursion with the divisors in place: sigma_1 = 1 and
 
     sigma_n = (M / eps_n) * [w^n] sum_{nu>=2} (nu+1) (sum sigma_k w^k)^nu.
+
+    Raises MajorantOverflowError at the first degree where sigma_n
+    overflows (n = 242 for golden lambda and M = 1).
     """
     if M < 0:
         raise ValueError("M must be >= 0")
     if D > divisors.order:
         raise ValueError("divisors computed to a smaller order than D")
-    eps = divisors.eps_min
-    sigma = np.zeros(D + 1)
-    sigma[1] = 1.0
-    for n in range(2, D + 1):
-        sigma[n] = M / eps[n] * _power_coefficient_sum(sigma, n)
-    return sigma
-
-
-def _eta_sequence(M: float, D: int) -> np.ndarray:
-    eta = np.zeros(D + 1)
-    eta[1] = 1.0
-    for n in range(2, D + 1):
-        eta[n] = M * _power_coefficient_sum(eta, n)
-    return eta
+    return _majorant_recursion(M, divisors.eps_min, D, "sigma")
 
 
 def _delta_sequence(eps_min: np.ndarray, D: int) -> np.ndarray:
@@ -441,9 +454,9 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
 
     lam0 = cmath.exp(2j * math.pi * _theta_value(theta0))
     divisors = compute_small_divisors(lam0, max(D, 2))
-    eta = _eta_sequence(M, D)
-    delta = _delta_sequence(divisors.eps_min, D)
     sigma = majorant_sigma(M, divisors, D)
+    eta = _majorant_recursion(M, np.ones(D + 1), D, "eta")
+    delta = _delta_sequence(divisors.eps_min, D)
     ok = bool(np.all(sigma[2:] <= eta[2:] * delta[2:] * (1 + 1e-9) + 1e-300))
     b = eta_radius(M).b if M > 0 else 0.0
     a = _fit_growth(delta)
@@ -511,7 +524,7 @@ def eta_radius(M: float, check_terms: int = 0) -> EtaRadius:
     w_star = _eta_implicit(eta_star, M)
     out = EtaRadius(M, eta_star, w_star, 1.0 / w_star)
     if check_terms:
-        eta = _eta_sequence(M, check_terms)
+        eta = _majorant_recursion(M, np.ones(check_terms + 1), check_terms, "eta")
         fit_n = min(50, check_terms)
         C = max(eta[n] / out.b**n for n in range(1, fit_n + 1))
         for n in range(1, check_terms + 1):

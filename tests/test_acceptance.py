@@ -107,7 +107,7 @@ def crit1():
     t_short = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    z6, w6, n_used, sup_delta, _, _, _ = _lockstep_iterate(
+    z6, w6, n_used, sup_delta, _, _ = _lockstep_iterate(
         H, np.asarray(from_transformed(zhat0)), w0.copy(), 1e-12, 10**6)
     t_long = time.perf_counter() - t0
 

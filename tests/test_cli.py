@@ -103,6 +103,13 @@ def test_linearize_quadratic_with_split(tmp_path):
     assert d["residual"] < 1e-8
 
 
+def test_linearize_majorant_overflow_exits_1(tmp_path, capsys):
+    # sigma_242 overflows at golden with M = 1: an error, not NaN in the JSON
+    code, text = run(tmp_path, "linearize", "--theta", "golden", "--order", "250")
+    assert code == 1 and text == ""
+    assert "n = 242" in capsys.readouterr().err
+
+
 def test_linearize_jet_file(tmp_path):
     import cmath
     import math

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import series_oracle
+from fatou import diophantine as dio
 from fatou.diophantine import (
     dist_k_theta,
     GOLDEN,
@@ -195,3 +197,88 @@ def test_sector_drift_reported():
 def test_sector_validates_r_window():
     with pytest.raises(ValueError):
         check_sector_lemma(GOLDEN, [0.5], 100)
+
+
+# -- the convergent scan against the per-k loops ----------------------------------
+
+ORACLE_THETAS = {
+    "golden": GOLDEN,
+    "silver": SILVER,
+    "sqrt7": QuadraticIrrational(-2, 7, 3),
+    "golden_float": (math.sqrt(5) - 1) / 2,
+    "inv_pi": 1 / math.pi,
+    "355/1131": Fraction(355, 1131),
+    "near_half": 0.5 - GOLDEN.value() / 50,
+}
+
+
+@pytest.fixture(scope="module")
+def memo_modulus():
+    """small_divisor_modulus for the ORACLE_THETAS objects, read from a table
+    filled once: the library and the oracle see the same values, and the
+    per-k loops of the matrix cost a list lookup per k."""
+    plain = dio.small_divisor_modulus
+    tables = {id(th): [None] + [plain(th, k) for k in range(1, 10**5 + 1)]
+              for th in ORACLE_THETAS.values()}
+
+    def memo(theta, k):
+        table = tables.get(id(theta))
+        return plain(theta, k) if table is None or k >= len(table) else table[k]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dio, "small_divisor_modulus", memo)
+        mp.setattr(series_oracle, "small_divisor_modulus", memo)
+        yield
+
+
+@pytest.mark.parametrize("name", ORACLE_THETAS)
+def test_scan_equals_per_k_oracle(name, memo_modulus):
+    theta = ORACLE_THETAS[name]
+    for N in (0, 0.5, 1, 2):
+        for k_max in (1, 2, 100, 10**5):
+            want = series_oracle.max_c_detail(theta, N, k_max)
+            assert max_c_detail(theta, N, k_max) == want, (N, k_max)
+            for c in (want[0], want[1], 2.0):
+                if c <= 0:  # 355/1131 reaches ||k theta|| = 0 at k = 1131
+                    with pytest.raises(ValueError):
+                        check_siegel(theta, c, N, k_max)
+                    continue
+                cert = check_siegel(theta, c, N, k_max)
+                ok, violations = series_oracle.check_siegel(theta, c, N, k_max)
+                assert (cert.ok, cert.violations) == (ok, violations), (N, k_max, c)
+
+
+def test_scan_falls_back_where_theorem_does_not_cover(memo_modulus):
+    # N < 0 makes k^N decreasing; theta outside (0, 1) has no expansion here
+    for theta, N in ((GOLDEN, -0.5), (1.25, 1.0), (Fraction(7, 3), 0.5)):
+        assert max_c_detail(theta, N, 500) == series_oracle.max_c_detail(theta, N, 500)
+    # a float whose expansion stops at the 10^12 quotient cap
+    capped = 1 / 3 + 1e-14
+    assert continued_fraction(capped, 10).rational
+    assert dio._scan_denominators(capped, 10**4) is None
+    want = series_oracle.max_c_detail(capped, 1.0, 10**4)
+    assert max_c_detail(capped, 1.0, 10**4) == want
+
+
+def test_certificate_to_1e12_scans_convergents_only(monkeypatch):
+    calls = []
+    plain = dio.small_divisor_modulus
+
+    def counting(theta, k):
+        calls.append(k)
+        return plain(theta, k)
+
+    monkeypatch.setattr(dio, "small_divisor_modulus", counting)
+    c_open, best, argmin, running = max_c_detail(GOLDEN, 1, 10**12)
+    assert len(calls) <= 200
+    cert = check_siegel(GOLDEN, c_open, 1, 10**12)
+    assert cert.ok and len(calls) <= 400
+    # the minimum against 30-digit arithmetic over the Fibonacci numbers
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        theta = (mpmath.sqrt(5) - 1) / 2
+        fibs = [k for k in fibonacci_upto(10**12) if k <= 10**12]
+        vals = {k: 2 * abs(mpmath.sin(mpmath.pi * k * theta)) * k for k in fibs}
+        k_mp = min(vals, key=vals.get)
+        assert argmin == k_mp
+        assert abs(best - float(vals[k_mp])) <= 1e-15 * best

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fatou.maps import rank0_map, rank1_map, rotation_map
+from fatou.maps import MapEscapeError, rank0_map, rank1_map, rotation_map
 from fatou.dynamics import (
     EMPIRICAL_MIN_N,
     Grid2D,
@@ -368,3 +368,20 @@ def test_sampler_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     c = sample_region(reg, 50, offset=8)
     assert not np.array_equal(a[0], c[0])
+
+
+# -- escapes are named -------------------------------------------------------------
+
+
+def test_limit_map_escape_names_seeds_and_step():
+    # every seed of this grid overflows at the first step; the SVD of the
+    # rank verdict used to fail on the NaN limits instead
+    grid = Grid2D(-1 / 0.9, 600, 3, 3, 1e-3)
+    with pytest.raises(MapEscapeError,
+                       match=r"9 of 9 grid seeds escaped.*node \(0, 0\).*at step 1"):
+        estimate_limit_map(H0, grid, n_max=200)
+
+
+def test_product_sum_escape_names_step():
+    with pytest.raises(ArithmeticError, match="not finite at step 1"):
+        track_product_sum(H0, (-1 / 0.9, 600), 50)

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import series_oracle
 from fatou.algebra import Series2, tri_index
 from fatou.diophantine import GOLDEN, max_c
 from fatou.linearization import (
+    MajorantOverflowError,
     SmallDivisorError,
     compute_small_divisors,
     delta_bruteforce,
@@ -21,7 +23,7 @@ from fatou.linearization import (
     result_to_json,
     solve_psi,
 )
-from fatou.linearization import _delta_sequence
+from fatou.linearization import _delta_sequence, _majorant_recursion
 
 GOLD = GOLDEN.value()
 LAM = cmath.exp(2j * math.pi * GOLD)
@@ -209,6 +211,34 @@ def test_sigma_zero_M():
     div = compute_small_divisors(LAM, 10)
     sigma = majorant_sigma(0.0, div, 10)
     assert np.all(sigma[2:] == 0.0)
+
+
+@pytest.mark.parametrize("M", [0.0, 0.5, 0.7, 1.0])
+def test_online_majorants_match_power_expansion_oracle(M):
+    # sigma (divisors in place) and eta (eps = 1) against the O(D^4)
+    # expansion power by power; the summation order differs
+    D = 200
+    div = compute_small_divisors(LAM, D)
+    sigma = majorant_sigma(M, div, D)
+    np.testing.assert_allclose(sigma, series_oracle.majorant(M, div.eps_min, D),
+                               rtol=1e-13, atol=0)
+    ones = np.ones(D + 1)
+    np.testing.assert_allclose(_majorant_recursion(M, ones, D, "eta"),
+                               series_oracle.majorant(M, ones, D), rtol=1e-13, atol=0)
+
+
+def test_majorant_overflow_names_the_degree():
+    # golden lambda, M = 1: sigma_242 and eta_270 exceed the double range
+    div = compute_small_divisors(LAM, 400)
+    with pytest.raises(ArithmeticError, match="242"):
+        majorant_sigma(1.0, div, 400)
+    c = max_c(GOLDEN, 1.0, 400)
+    with pytest.raises(MajorantOverflowError, match=r"sigma_n .* n = 242"):
+        majorant_split(1.0, GOLDEN, c, 1.0, 400)
+    with pytest.raises(MajorantOverflowError, match=r"eta_n .* n = 270"):
+        eta_radius(1.0, check_terms=400)
+    with pytest.raises(MajorantOverflowError, match="242"):
+        solve_psi(quadratic_test_family(LAM), LAM, 250)
 
 
 def test_majorant_domination():
