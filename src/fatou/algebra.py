@@ -15,10 +15,7 @@ Truncation is exact: an operation on series of order D retains every
 coefficient of total degree <= D and nothing else, so results can be
 compared against brute-force oracles coefficient by coefficient.
 
-Coefficient arrays are numpy complex128 by default.  Passing
-``mode="dd"`` to the constructors switches to object arrays of
-:class:`fatou.ddc.DDComplex` (double-double), for situations where small
-divisors amplify rounding; all operations are dtype-generic.
+Coefficient arrays are numpy complex128.
 
 NaN/Inf never enter a series: constructors and arithmetic validate and
 raise :class:`NonFiniteError` instead of propagating.
@@ -35,8 +32,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-
-from .ddc import DDComplex, DDC_ZERO
 
 __all__ = [
     "SeriesError",
@@ -80,28 +75,12 @@ def tri_index(l1: int, l2: int) -> int:
     return d * (d + 1) // 2 + l2
 
 
-def _is_dd(arr: np.ndarray) -> bool:
-    return arr.dtype == object
-
-
-def _zeros(n: int, dd: bool) -> np.ndarray:
-    if dd:
-        return np.array([DDC_ZERO] * n, dtype=object)
+def _zeros(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.complex128)
 
 
-def _scalar_of(x, dd: bool):
-    return DDComplex.of(x) if dd else complex(x)
-
-
-def _finite(arr: np.ndarray) -> bool:
-    if _is_dd(arr):
-        return all(c.is_finite() for c in arr)
-    return bool(np.isfinite(arr.view(np.float64)).all())
-
-
 def _check_finite(arr: np.ndarray, where: str) -> None:
-    if not _finite(arr):
+    if not np.isfinite(arr.view(np.float64)).all():
         raise NonFiniteError(f"non-finite coefficient in {where}")
 
 
@@ -132,31 +111,27 @@ class Series2:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, mode: str = "double") -> "Series2":
-        return cls(order, _zeros(tri_size(order), mode == "dd"), _validate=False)
+    def zero(cls, order: int) -> "Series2":
+        return cls(order, _zeros(tri_size(order)), _validate=False)
 
     @classmethod
-    def const(cls, order: int, value, mode: str = "double") -> "Series2":
-        s = cls.zero(order, mode)
-        s.coeffs[0] = _scalar_of(value, mode == "dd")
+    def const(cls, order: int, value) -> "Series2":
+        s = cls.zero(order)
+        s.coeffs[0] = complex(value)
         _check_finite(s.coeffs[:1], "Series2.const")
         return s
 
     @classmethod
-    def var_z(cls, order: int, mode: str = "double") -> "Series2":
-        s = cls.zero(order, mode)
-        s.coeffs[tri_index(1, 0)] = _scalar_of(1.0, mode == "dd")
+    def var_z(cls, order: int) -> "Series2":
+        s = cls.zero(order)
+        s.coeffs[tri_index(1, 0)] = 1.0
         return s
 
     @classmethod
-    def var_w(cls, order: int, mode: str = "double") -> "Series2":
-        s = cls.zero(order, mode)
-        s.coeffs[tri_index(0, 1)] = _scalar_of(1.0, mode == "dd")
+    def var_w(cls, order: int) -> "Series2":
+        s = cls.zero(order)
+        s.coeffs[tri_index(0, 1)] = 1.0
         return s
-
-    @property
-    def dd(self) -> bool:
-        return _is_dd(self.coeffs)
 
     def copy(self) -> "Series2":
         return Series2(self.order, self.coeffs.copy(), _validate=False)
@@ -188,7 +163,7 @@ class Series2:
         """
         if new_order < self.order:
             raise SeriesError("pad cannot shrink; use truncate")
-        out = _zeros(tri_size(new_order), self.dd)
+        out = _zeros(tri_size(new_order))
         out[: len(self.coeffs)] = self.coeffs
         return Series2(new_order, out, _validate=False)
 
@@ -216,8 +191,7 @@ class Series2:
         return Series2(self.order, -self.coeffs, _validate=False)
 
     def scale(self, factor) -> "Series2":
-        fac = _scalar_of(factor, self.dd)
-        out = self.coeffs * fac
+        out = self.coeffs * complex(factor)
         _check_finite(out, "Series2.scale")
         return Series2(self.order, out, _validate=False)
 
@@ -231,23 +205,22 @@ class Series2:
     def pow(self, k: int) -> "Series2":
         if k < 0:
             raise SeriesError("negative powers not supported; use inverse()")
-        out = Series2.const(self.order, 1.0, "dd" if self.dd else "double")
+        out = Series2.const(self.order, 1.0)
         for _ in range(k):
             out = series2_mul(out, self)
         return out
 
     def inverse(self) -> "Series2":
         """Multiplicative inverse; requires a nonzero constant term."""
-        dd = self.dd
         c0 = self.coeffs[0]
-        if (abs(complex(c0)) if dd else abs(c0)) == 0.0:
+        if abs(c0) == 0.0:
             raise SeriesError("inverse of a series with zero constant term")
         D = self.order
-        inv0 = _scalar_of(1.0, dd) / c0
-        out = _zeros(tri_size(D), dd)
+        inv0 = 1.0 / c0
+        out = _zeros(tri_size(D))
         out[0] = inv0
         for d in range(1, D + 1):
-            acc = _zeros(d + 1, dd)
+            acc = _zeros(d + 1)
             for k in range(1, d + 1):
                 acc = acc + np.convolve(self.layer(k), _layer_of(out, d - k))
             start = d * (d + 1) // 2
@@ -259,45 +232,40 @@ class Series2:
 
     def eval(self, z, w):
         """Value of the truncated polynomial at the point (z, w)."""
-        dd = self.dd
-        zz = _scalar_of(z, dd)
-        ww = _scalar_of(w, dd)
-        zp = [_scalar_of(1.0, dd)]
-        wp = [_scalar_of(1.0, dd)]
+        zz = complex(z)
+        ww = complex(w)
+        zp = [1.0 + 0j]
+        wp = [1.0 + 0j]
         for _ in range(self.order):
             zp.append(zp[-1] * zz)
             wp.append(wp[-1] * ww)
         # high degrees first so the small tail terms accumulate before the bulk
-        total = _scalar_of(0.0, dd)
+        total = 0j
         for d in range(self.order, -1, -1):
             lay = self.layer(d)
             for j in range(d + 1):
                 total = total + lay[j] * zp[d - j] * wp[j]
-        return total if dd else complex(total)
+        return complex(total)
 
     def compose_linear(self, a, b, c, d) -> "Series2":
         """Substitute z -> a*Z + b*W, w -> c*Z + d*W (degree-preserving)."""
-        dd_mode = self.dd
         D = self.order
-        lin1 = np.array([_scalar_of(a, dd_mode), _scalar_of(b, dd_mode)],
-                        dtype=object if dd_mode else np.complex128)
-        lin2 = np.array([_scalar_of(c, dd_mode), _scalar_of(d, dd_mode)],
-                        dtype=object if dd_mode else np.complex128)
-        one = _zeros(1, dd_mode)
-        one[0] = _scalar_of(1.0, dd_mode)
+        lin1 = np.array([a, b], dtype=np.complex128)
+        lin2 = np.array([c, d], dtype=np.complex128)
+        one = np.ones(1, dtype=np.complex128)
         pow1 = [one]
         pow2 = [one]
         for _ in range(D):
             pow1.append(np.convolve(pow1[-1], lin1))
             pow2.append(np.convolve(pow2[-1], lin2))
-        out = _zeros(tri_size(D), dd_mode)
+        out = _zeros(tri_size(D))
         for deg in range(D + 1):
             lay = self.layer(deg)
-            acc = _zeros(deg + 1, dd_mode)
+            acc = _zeros(deg + 1)
             for l2 in range(deg + 1):
                 l1 = deg - l2
                 coef = lay[l2]
-                if not dd_mode and coef == 0:
+                if coef == 0:
                     continue
                 acc = acc + np.convolve(pow1[l1], pow2[l2]) * coef
             start = deg * (deg + 1) // 2
@@ -319,17 +287,13 @@ class Series2:
         D = self.order
         if D < l:
             raise SeriesError("order too small for the requested division")
-        dd = self.dd
-        if dd:
-            scale = max((abs(c) for c in self.coeffs), default=0.0)
-        else:
-            scale = float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
+        scale = float(np.max(np.abs(self.coeffs)))
         new_order = D - l
-        out = _zeros(tri_size(new_order), dd)
+        out = _zeros(tri_size(new_order))
         for l1 in range(D + 1):
             for l2 in range(D + 1 - l1):
                 c = self.coeffs[tri_index(l1, l2)]
-                mag = abs(c) if dd else abs(c)
+                mag = abs(c)
                 if l1 < l:
                     if mag > drop_tol * max(scale, 1e-300):
                         raise SeriesError(
@@ -341,28 +305,8 @@ class Series2:
                     out[tri_index(l1 - l, l2)] = c
         return Series2(new_order, out, _validate=False)
 
-    def max_coeff_norm(self, min_degree: int = 0) -> float:
-        """max |coefficient| over monomials of total degree >= min_degree."""
-        best = 0.0
-        for d in range(min_degree, self.order + 1):
-            for c in self.layer(d):
-                best = max(best, abs(c) if self.dd else abs(c))
-        return float(best)
-
-    def to_dd(self) -> "Series2":
-        if self.dd:
-            return self
-        out = np.array([DDComplex.of(complex(c)) for c in self.coeffs], dtype=object)
-        return Series2(self.order, out, _validate=False)
-
-    def to_complex(self) -> "Series2":
-        if not self.dd:
-            return self
-        out = np.array([complex(c) for c in self.coeffs], dtype=np.complex128)
-        return Series2(self.order, out, _validate=False)
-
     def __repr__(self) -> str:
-        return f"Series2(order={self.order}, nnz={sum(1 for c in self.coeffs if abs(complex(c) if self.dd else c) != 0)})"
+        return f"Series2(order={self.order}, nnz={np.count_nonzero(self.coeffs)})"
 
 
 def _layer_of(flat: np.ndarray, d: int) -> np.ndarray:
@@ -375,15 +319,12 @@ def series2_mul(a: Series2, b: Series2) -> Series2:
     if a.order != b.order:
         raise OrderMismatchError(f"orders differ: {a.order} vs {b.order}")
     D = a.order
-    dd = a.dd or b.dd
-    aa = a.to_dd() if dd and not a.dd else a
-    bb = b.to_dd() if dd and not b.dd else b
-    out = _zeros(tri_size(D), dd)
+    out = _zeros(tri_size(D))
     for d in range(D + 1):
-        acc = _zeros(d + 1, dd)
+        acc = _zeros(d + 1)
         for d1 in range(d + 1):
-            la = aa.layer(d1)
-            lb = bb.layer(d - d1)
+            la = a.layer(d1)
+            lb = b.layer(d - d1)
             acc = acc + np.convolve(la, lb)
         start = d * (d + 1) // 2
         out[start : start + d + 1] = acc
@@ -399,26 +340,20 @@ def series2_exp(a: Series2) -> Series2:
     n*E_n = sum_{k=1..n} k * a_k * E_{n-k} (homogeneous-layer products),
     which is exact at every retained degree.
     """
-    dd = a.dd
-    c0 = a.coeffs[0]
-    if (abs(complex(c0)) if dd else abs(c0)) != 0.0:
+    if abs(a.coeffs[0]) != 0.0:
         raise SeriesError("series2_exp requires a zero constant term")
     D = a.order
-    out = _zeros(tri_size(D), dd)
-    out[0] = _scalar_of(1.0, dd)
+    out = _zeros(tri_size(D))
+    out[0] = 1.0
     for n in range(1, D + 1):
-        acc = _zeros(n + 1, dd)
+        acc = _zeros(n + 1)
         for k in range(1, n + 1):
             lay = a.layer(k)
-            if not dd and not lay.any():
+            if not lay.any():
                 continue
-            acc = acc + np.convolve(lay * k if not dd else lay * _scalar_of(k, dd),
-                                    _layer_of(out, n - k))
+            acc = acc + np.convolve(lay * k, _layer_of(out, n - k))
         start = n * (n + 1) // 2
-        if dd:
-            out[start : start + n + 1] = acc * (DDComplex.of(1.0) / DDComplex.of(n))
-        else:
-            out[start : start + n + 1] = acc / n
+        out[start : start + n + 1] = acc / n
     _check_finite(out, "series2_exp")
     return Series2(D, out, _validate=False)
 
@@ -443,17 +378,8 @@ class Series1C2:
         self.coeffs = arr
 
     @classmethod
-    def zero(cls, order: int, mode: str = "double") -> "Series1C2":
-        dd = mode == "dd"
-        if dd:
-            arr = np.array([[DDC_ZERO, DDC_ZERO] for _ in range(order + 1)], dtype=object)
-        else:
-            arr = np.zeros((order + 1, 2), dtype=np.complex128)
-        return cls(order, arr, _validate=False)
-
-    @property
-    def dd(self) -> bool:
-        return _is_dd(self.coeffs)
+    def zero(cls, order: int) -> "Series1C2":
+        return cls(order, np.zeros((order + 1, 2), dtype=np.complex128), _validate=False)
 
     def component(self, i: int) -> np.ndarray:
         return self.coeffs[:, i]
@@ -461,16 +387,8 @@ class Series1C2:
     def copy(self) -> "Series1C2":
         return Series1C2(self.order, self.coeffs.copy(), _validate=False)
 
-    def to_complex(self) -> "Series1C2":
-        if not self.dd:
-            return self
-        arr = np.array([[complex(c) for c in row] for row in self.coeffs], dtype=np.complex128)
-        return Series1C2(self.order, arr, _validate=False)
-
     def norms(self) -> np.ndarray:
         """max(|first|, |second|) per coefficient (the max-norm on C^2)."""
-        if self.dd:
-            return np.array([max(abs(row[0]), abs(row[1])) for row in self.coeffs])
         return np.max(np.abs(self.coeffs), axis=1)
 
     def __repr__(self) -> str:
@@ -479,14 +397,6 @@ class Series1C2:
 
 def series1_eval(psi: Series1C2, w) -> tuple:
     """Horner evaluation; returns the C^2 value as a pair."""
-    if psi.dd:
-        ww = DDComplex.of(w)
-        v0 = psi.coeffs[psi.order][0]
-        v1 = psi.coeffs[psi.order][1]
-        for k in range(psi.order - 1, -1, -1):
-            v0 = v0 * ww + psi.coeffs[k][0]
-            v1 = v1 * ww + psi.coeffs[k][1]
-        return (v0, v1)
     ww = complex(w)
     v = psi.coeffs[psi.order].copy()
     for k in range(psi.order - 1, -1, -1):
@@ -494,11 +404,11 @@ def series1_eval(psi: Series1C2, w) -> tuple:
     return (complex(v[0]), complex(v[1]))
 
 
-def _subst_bivariate(P: Series2, u: np.ndarray, v: np.ndarray, order: int, dd: bool) -> np.ndarray:
+def _subst_bivariate(P: Series2, u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:
     """P(u(w), v(w)) truncated at `order`, by nested Horner over the triangle."""
-    res = _zeros(order + 1, dd)
+    res = _zeros(order + 1)
     for l1 in range(P.order, -1, -1):
-        inner = _zeros(order + 1, dd)
+        inner = _zeros(order + 1)
         for l2 in range(P.order - l1, -1, -1):
             inner = _mul1(inner, v, order)
             inner[0] = inner[0] + P.coeffs[tri_index(l1, l2)]
@@ -517,29 +427,13 @@ def series1_compose_map(f_pair: tuple, psi: Series1C2, order: int | None = None)
     D = psi.order if order is None else order
     if order is not None and order > psi.order:
         raise SeriesError("requested order exceeds psi's order")
-    dd = psi.dd or P.dd or Q.dd
-    psi_ = psi.to_complex() if not dd and psi.dd else psi
-    u = psi_.coeffs[: D + 1, 0]
-    v = psi_.coeffs[: D + 1, 1]
-    z0 = abs(complex(u[0]) if dd else u[0])
-    w0 = abs(complex(v[0]) if dd else v[0])
-    if z0 != 0.0 or w0 != 0.0:
+    u = psi.coeffs[: D + 1, 0]
+    v = psi.coeffs[: D + 1, 1]
+    if abs(u[0]) != 0.0 or abs(v[0]) != 0.0:
         raise SeriesError("series1_compose_map requires psi(0) = (0, 0)")
-    if dd:
-        P = P.to_dd()
-        Q = Q.to_dd()
-        if not psi.dd:
-            u = np.array([DDComplex.of(complex(x)) for x in u], dtype=object)
-            v = np.array([DDComplex.of(complex(x)) for x in v], dtype=object)
-    out1 = _subst_bivariate(P, u, v, D, dd)
-    out2 = _subst_bivariate(Q, u, v, D, dd)
-    if dd:
-        arr = np.empty((D + 1, 2), dtype=object)
-        arr[:, 0] = out1
-        arr[:, 1] = out2
-    else:
-        arr = np.stack([out1, out2], axis=1)
-    return Series1C2(D, arr)
+    out1 = _subst_bivariate(P, u, v, D)
+    out2 = _subst_bivariate(Q, u, v, D)
+    return Series1C2(D, np.stack([out1, out2], axis=1))
 
 
 # -- serialization ----------------------------------------------------
@@ -553,12 +447,11 @@ def _f17(x: float) -> str:
 
 def series1_to_json(psi: Series1C2) -> str:
     """JSON text {order, coeffs: [[re1,im1,re2,im2], ...]}, coefficient of w^k at index k."""
-    p = psi.to_complex()
     rows = []
-    for k in range(p.order + 1):
-        a, b = p.coeffs[k]
+    for k in range(psi.order + 1):
+        a, b = psi.coeffs[k]
         rows.append(f"[{_f17(a.real)},{_f17(a.imag)},{_f17(b.real)},{_f17(b.imag)}]")
-    return '{"order":%d,"coeffs":[%s]}' % (p.order, ",".join(rows))
+    return '{"order":%d,"coeffs":[%s]}' % (psi.order, ",".join(rows))
 
 
 def series1_from_json(text: str) -> Series1C2:
@@ -576,8 +469,7 @@ def jet_to_json(jet: tuple) -> str:
 
     Index order is the triangular graded-lex order of Series2.
     """
-    P = jet[0].to_complex()
-    Q = jet[1].to_complex()
+    P, Q = jet
     if P.order != Q.order:
         raise OrderMismatchError("jet components have different orders")
     rows = []

@@ -2,11 +2,11 @@
 
 Used when small divisors push the linearization recursion past what binary64
 can resolve.  Values are unevaluated sums hi + lo with |lo| <= 0.5 ulp(hi).
+Only what that recursion needs is provided: coercion, + - * /, and the
+conversions float() and complex().
 """
 
 from __future__ import annotations
-
-import math
 
 _SPLITTER = 134217729.0  # 2^27 + 1
 
@@ -73,13 +73,8 @@ class DD:
         hi, lo = _quick_two_sum(s, e)
         return DD(hi, lo)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "DD":
         return self + (-DD.of(other))
-
-    def __rsub__(self, other) -> "DD":
-        return DD.of(other) + (-self)
 
     def __mul__(self, other) -> "DD":
         o = DD.of(other)
@@ -87,8 +82,6 @@ class DD:
         e += self.hi * o.lo + self.lo * o.hi
         hi, lo = _quick_two_sum(p, e)
         return DD(hi, lo)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "DD":
         o = DD.of(other)
@@ -99,35 +92,6 @@ class DD:
         q3 = r.hi / o.hi
         hi, lo = _quick_two_sum(q1, q2)
         return DD(hi, lo) + q3
-
-    def __rtruediv__(self, other) -> "DD":
-        return DD.of(other) / self
-
-    def __abs__(self) -> "DD":
-        return -self if self.hi < 0 or (self.hi == 0 and self.lo < 0) else self
-
-    def __lt__(self, other) -> bool:
-        o = DD.of(other)
-        return self.hi < o.hi or (self.hi == o.hi and self.lo < o.lo)
-
-    def __le__(self, other) -> bool:
-        o = DD.of(other)
-        return self.hi < o.hi or (self.hi == o.hi and self.lo <= o.lo)
-
-    def __eq__(self, other) -> bool:
-        o = DD.of(other)
-        return self.hi == o.hi and self.lo == o.lo
-
-    def sqrt(self) -> "DD":
-        if self.hi == 0 and self.lo == 0:
-            return DD(0.0)
-        x = math.sqrt(self.hi)
-        # one Newton step in double-double
-        x_dd = DD(x)
-        return (x_dd + self / x_dd) * 0.5
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.hi) and math.isfinite(self.lo)
 
 
 class DDComplex:
@@ -157,52 +121,21 @@ class DDComplex:
     def __repr__(self) -> str:
         return f"DDComplex({complex(self)!r})"
 
-    def __neg__(self) -> "DDComplex":
-        return DDComplex(-self.re, -self.im)
-
     def __add__(self, other) -> "DDComplex":
         o = DDComplex.of(other)
         return DDComplex(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "DDComplex":
         o = DDComplex.of(other)
         return DDComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other) -> "DDComplex":
-        return DDComplex.of(other) - self
 
     def __mul__(self, other) -> "DDComplex":
         o = DDComplex.of(other)
         return DDComplex(self.re * o.re - self.im * o.im,
                          self.re * o.im + self.im * o.re)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "DDComplex":
         o = DDComplex.of(other)
         den = o.re * o.re + o.im * o.im
         return DDComplex((self.re * o.re + self.im * o.im) / den,
                          (self.im * o.re - self.re * o.im) / den)
-
-    def __rtruediv__(self, other) -> "DDComplex":
-        return DDComplex.of(other) / self
-
-    def __eq__(self, other) -> bool:
-        o = DDComplex.of(other)
-        return self.re == o.re and self.im == o.im
-
-    def abs2(self) -> DD:
-        return self.re * self.re + self.im * self.im
-
-    def __abs__(self) -> float:
-        return float(self.abs2().sqrt())
-
-    def is_finite(self) -> bool:
-        return self.re.is_finite() and self.im.is_finite()
-
-
-DD_ZERO = DD(0.0)
-DDC_ZERO = DDComplex(0.0, 0.0)
-DDC_ONE = DDComplex(1.0, 0.0)

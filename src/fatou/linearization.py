@@ -10,6 +10,14 @@ where N = F - (linear part) and the right-hand side at degree n only uses
 psi_1..psi_{n-1}.  The divisors lambda^n - lambda and lambda^n - 1 are the
 small divisors; their control is what the Diophantine certificates buy.
 
+The right-hand side comes from a table of the powers (psi^1)^i (psi^2)^j,
+i + j <= K (the jet order), each extended by one coefficient per degree
+with one dot product against the power it extends (online, or relaxed,
+multiplication; van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
+That is O(K^2 D^2) in all.  The same numpy expressions run on complex128
+arrays and on object arrays of double-double scalars (fatou.ddc), which
+solve_psi switches to when some divisor is below 1e-8.
+
 The majorant machinery bounds ||psi_n|| by sigma_n (one recursion with the
 divisors in place), and sigma_n <= eta_n delta_n splits the problem into a
 divisor-free part eta (whose generating function solves a scalar implicit
@@ -21,8 +29,8 @@ recursion in O(D^2) through sum_{nu>=2} (nu+1) s^nu = (1-s)^-2 - 1 - 2s;
 a degree whose value is not finite in double precision raises
 MajorantOverflowError naming the sequence and the degree.
 
-Each degree-n step is computed at truncation order exactly n, so the
-coefficients are bitwise independent of the requested total order D
+Every operation that produces psi_n depends on n alone, not on the
+requested total order D, so the coefficients are bitwise independent of D
 (recomputing with larger D never changes the low coefficients).
 
 Each (jet, lambda, D) solve is an independent pure computation; sweeps may
@@ -38,13 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    Series1C2,
-    Series2,
-    SeriesError,
-    series1_compose_map,
-    series1_eval,
-)
+from .algebra import Series1C2, Series2, SeriesError, series1_eval, tri_index
 from .ddc import DDComplex
 from .diophantine import check_siegel
 
@@ -106,30 +108,20 @@ class SmallDivisors:
         return float(self.eps_min[2:].min()) if self.order >= 2 else math.inf
 
 
-def compute_small_divisors(lam: complex, D: int, mode: str = "double") -> SmallDivisors:
+def compute_small_divisors(lam: complex, D: int) -> SmallDivisors:
     """Small divisors up to degree D; errors out if one falls below 1e-300."""
     if D < 2:
         raise ValueError("D must be >= 2")
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
-    if mode == "dd":
-        lam_dd = DDComplex.of(lam)
-        eps1 = np.zeros(D + 1, dtype=complex)
-        eps2 = np.zeros(D + 1, dtype=complex)
-        power = lam_dd
-        for n in range(2, D + 1):
-            power = power * lam_dd
-            eps1[n] = complex(power - lam_dd)
-            eps2[n] = complex(power - DDComplex.of(1.0))
-    else:
-        eps1 = np.zeros(D + 1, dtype=complex)
-        eps2 = np.zeros(D + 1, dtype=complex)
-        power = lam
-        for n in range(2, D + 1):
-            power = power * lam
-            eps1[n] = power - lam
-            eps2[n] = power - 1.0
+    eps1 = np.zeros(D + 1, dtype=complex)
+    eps2 = np.zeros(D + 1, dtype=complex)
+    power = lam
+    for n in range(2, D + 1):
+        power = power * lam
+        eps1[n] = power - lam
+        eps2[n] = power - 1.0
     div = SmallDivisors(lam, D, eps1, eps2)
     if div.min_modulus() < DIVISOR_HARD_FLOOR:
         raise SmallDivisorError(
@@ -173,9 +165,6 @@ def _normalize_jet(F_jet, lam: complex):
     target = np.array([[lam, 0], [0, 1]], dtype=complex)
     if np.max(np.abs(L - target)) < 1e-12:
         return F_jet, None
-    if abs(L[0, 0] - lam) < 1e-12 and abs(L[1, 1] - 1) < 1e-12 and abs(L[0, 1]) < 1e-12 \
-            and abs(L[1, 0]) < 1e-12:
-        return F_jet, None
     vals, vecs = np.linalg.eig(L)
     i_one = int(np.argmin(np.abs(vals - 1.0)))
     i_lam = 1 - i_one
@@ -198,10 +187,6 @@ def _nonlinear_part(F_jet, lam: complex):
     P, Q = F_jet
     N1 = P.copy()
     N2 = Q.copy()
-    N1.coeffs = N1.coeffs.copy()
-    N2.coeffs = N2.coeffs.copy()
-    from .algebra import tri_index
-
     N1.coeffs[tri_index(1, 0)] -= lam
     N2.coeffs[tri_index(0, 1)] -= 1.0
     resid = max(
@@ -229,8 +214,11 @@ def solve_psi(F_jet, lam: complex, D: int, *, precision: str = "auto",
               residual_samples: int = 64) -> LinearizationResult:
     """Solve the conjugation equation to degree D.
 
+    psi_n comes from the degree-n coefficients of N(psi), which involve
+    psi_1..psi_{n-1} only, divided by lambda^n - lambda and lambda^n - 1.
     precision "auto" escalates to double-double when some small divisor has
-    modulus below 1e-8; "double" and "dd" force the mode.
+    modulus below 1e-8; "double" and "dd" force the mode.  Either way the
+    coefficients are rounded to complex128 at the end.
     """
     if D < 2:
         raise ValueError("D must be >= 2")
@@ -245,12 +233,9 @@ def solve_psi(F_jet, lam: complex, D: int, *, precision: str = "auto",
 
     N_pair = _nonlinear_part(F_jet, lam)
     M = _jet_max_norm(F_jet)
-    sigma = majorant_sigma(M, divisors, D)  # raises before the costly solve
+    sigma = majorant_sigma(M, divisors, D)  # raises before psi is solved for
 
-    if mode == "dd":
-        psi = _solve_recursion_dd(N_pair, lam, D)
-    else:
-        psi = _solve_recursion(N_pair, divisors, D)
+    psi = _solve_recursion(N_pair, lam, D, DDComplex.of if mode == "dd" else complex)
 
     norms = psi.norms().astype(float)
     majorant_ok = bool(np.all(norms[2:] <= sigma[2:] * (1 + 1e-9) + 1e-300))
@@ -270,43 +255,34 @@ def solve_psi(F_jet, lam: complex, D: int, *, precision: str = "auto",
     )
 
 
-def _solve_recursion(N_pair, divisors: SmallDivisors, D: int) -> Series1C2:
-    psi = Series1C2.zero(D)
-    psi.coeffs[1, 0] = 1.0
-    for n in range(2, D + 1):
-        # composing at truncation order exactly n makes the degree-n
-        # coefficient independent of D (bitwise triangular determinism)
-        F_n = (N_pair[0].truncate(min(n, N_pair[0].order)).pad(n)
-               if N_pair[0].order < n else N_pair[0].truncate(n))
-        G_n = (N_pair[1].truncate(min(n, N_pair[1].order)).pad(n)
-               if N_pair[1].order < n else N_pair[1].truncate(n))
-        partial = Series1C2(n, psi.coeffs[: n + 1].copy(), _validate=False)
-        rhs = series1_compose_map((F_n, G_n), partial, order=n)
-        psi.coeffs[n, 0] = rhs.coeffs[n, 0] / divisors.eps1[n]
-        psi.coeffs[n, 1] = rhs.coeffs[n, 1] / divisors.eps2[n]
-    return psi
+def _solve_recursion(N_pair, lam: complex, D: int, num) -> Series1C2:
+    """psi to degree D in the arithmetic of num, complex or DDComplex.of.
 
-
-def _solve_recursion_dd(N_pair, lam: complex, D: int) -> Series1C2:
-    lam_dd = DDComplex.of(lam)
-    one = DDComplex.of(1.0)
-    powers = [None, lam_dd]
+    Row r of T holds the coefficients of the monomial mono[r] in psi, in
+    graded order, so rows 0 and 1 are psi^1 and psi^2.  A row of degree
+    >= 2 is psi^1 or psi^2 (base) times a row one degree lower (prev).  As
+    psi_0 = 0, its degree-n entry needs base to degree n-1 and prev to
+    degree n-1 only, so all of them are known before psi_n is solved for.
+    """
+    K = max(2, N_pair[0].order, N_pair[1].order)  # K >= 2: no empty object sums
+    mono = [(d - j, j) for d in range(1, K + 1) for j in range(d + 1)]
+    row = {m: r for r, m in enumerate(mono)}
+    hi = np.arange(2, len(mono))
+    base = np.array([0 if i else 1 for i, j in mono[2:]])
+    prev = np.array([row[(i - 1, j) if i else (i, j - 1)] for i, j in mono[2:]])
+    dtype = np.complex128 if num is complex else object
+    coef = np.array([[num(N.get(i, j) if i + j <= N.order else 0.0) for i, j in mono[2:]]
+                     for N in N_pair], dtype=dtype)
+    T = np.full((len(mono), D + 1), num(0.0), dtype=dtype)
+    T[0, 1] = num(1.0)
+    lam_, one = num(lam), num(1.0)
+    power = lam_
     for n in range(2, D + 1):
-        powers.append(powers[-1] * lam_dd)
-    Nd = (N_pair[0].to_dd(), N_pair[1].to_dd())
-    psi = Series1C2.zero(D, mode="dd")
-    psi.coeffs[1, 0] = DDComplex.of(1.0)
-    for n in range(2, D + 1):
-        F_n = (Nd[0].truncate(min(n, Nd[0].order)).pad(n)
-               if Nd[0].order < n else Nd[0].truncate(n))
-        G_n = (Nd[1].truncate(min(n, Nd[1].order)).pad(n)
-               if Nd[1].order < n else Nd[1].truncate(n))
-        partial = Series1C2(n, psi.coeffs[: n + 1].copy(), _validate=False)
-        rhs = series1_compose_map((F_n, G_n), partial, order=n)
-        psi.coeffs[n, 0] = rhs.coeffs[n, 0] / (powers[n] - lam_dd)
-        psi.coeffs[n, 1] = rhs.coeffs[n, 1] / (powers[n] - one)
-    out = psi.to_complex()
-    return out
+        T[hi, n] = (T[base, 1:n] * T[prev, n - 1:0:-1]).sum(axis=1)
+        rhs = (coef * T[hi, n]).sum(axis=1)
+        power = power * lam_
+        T[:2, n] = rhs / np.array([power - lam_, power - one], dtype=dtype)
+    return Series1C2(D, T[:2].T.astype(np.complex128))
 
 
 def residual(psi: Series1C2, F_jet, lam: complex, radius: float,
@@ -319,13 +295,12 @@ def residual(psi: Series1C2, F_jet, lam: complex, radius: float,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     P, Q = F_jet
-    p = psi.to_complex()
     worst = 0.0
     for j in range(samples):
         w = radius * cmath.exp(2j * math.pi * j / samples)
-        x, y = series1_eval(p, w)
+        x, y = series1_eval(psi, w)
         lhs = (P.eval(x, y), Q.eval(x, y))
-        rhs = series1_eval(p, lam * w)
+        rhs = series1_eval(psi, lam * w)
         worst = max(worst, abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
     return worst
 
@@ -457,7 +432,9 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
     sigma = majorant_sigma(M, divisors, D)
     eta = _majorant_recursion(M, np.ones(D + 1), D, "eta")
     delta = _delta_sequence(divisors.eps_min, D)
-    ok = bool(np.all(sigma[2:] <= eta[2:] * delta[2:] * (1 + 1e-9) + 1e-300))
+    # sigma/eta against delta: eta delta overflows (from n = 218 at M = 1)
+    # while each factor is finite; eta_n = 0 only with sigma_n = 0 (M = 0)
+    ok = bool(np.all(sigma[2:] / np.maximum(eta[2:], 1e-300) <= delta[2:] * (1 + 1e-9)))
     b = eta_radius(M).b if M > 0 else 0.0
     a = _fit_growth(delta)
     return MajorantSplit(M, eta, delta, b, a, sigma, ok)
@@ -646,8 +623,6 @@ def quadratic_test_family(lam: complex, order: int = 2):
     both components of the recursion, with unit coefficient bound."""
     P = Series2.zero(order)
     Q = Series2.zero(order)
-    from .algebra import tri_index
-
     P.coeffs[tri_index(1, 0)] = lam
     P.coeffs[tri_index(0, 2)] = 1.0
     Q.coeffs[tri_index(0, 1)] = 1.0
@@ -659,8 +634,6 @@ def linear_family(lam: complex, order: int = 2):
     """F(z, w) = (lambda z, w)."""
     P = Series2.zero(order)
     Q = Series2.zero(order)
-    from .algebra import tri_index
-
     P.coeffs[tri_index(1, 0)] = lam
     Q.coeffs[tri_index(0, 1)] = 1.0
     return (P, Q)

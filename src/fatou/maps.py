@@ -289,9 +289,6 @@ class AutoMap:
     def __post_init__(self):
         object.__setattr__(self, "pipeline", tuple(self.pipeline))
 
-    def has_bl_inverse(self) -> bool:
-        return any(em.kind == MapKind.BL_INV for em in self.pipeline)
-
     # -- evaluation ---------------------------------------------------
 
     def eval_batch(self, z, w, *, use_fastpath: bool = True):
@@ -366,10 +363,10 @@ class AutoMap:
 
 def _exp_series(S: Series2) -> Series2:
     """exp of a series with arbitrary constant term."""
-    c0 = complex(S.coeffs[0]) if S.dd else S.coeffs[0]
+    c0 = S.coeffs[0]
     if c0 == 0:
         return series2_exp(S)
-    shifted = S - Series2.const(S.order, c0, "dd" if S.dd else "double")
+    shifted = S - Series2.const(S.order, c0)
     return series2_exp(shifted).scale(cmath.exp(c0))
 
 
@@ -383,16 +380,15 @@ def _apply_elem_jet(em: ElementaryMap, Z: Series2, W: Series2):
         return Z, W - Z
     if k == MapKind.F4:
         return series2_mul(Z, _exp_series(-W)), W
-    mode = "dd" if Z.dd else "double"
     if k == MapKind.SHEAR:
-        acc = Series2.zero(Z.order, mode)
+        acc = Series2.zero(Z.order)
         for c in reversed(em.coeffs):
-            acc = series2_mul(acc, Z) + Series2.const(Z.order, c, mode)
+            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
         return Z, W + series2_mul(acc, series2_mul(Z, Z))
     if k == MapKind.OVERSHEAR:
-        acc = Series2.zero(Z.order, mode)
+        acc = Series2.zero(Z.order)
         for c in reversed(em.coeffs):
-            acc = series2_mul(acc, Z) + Series2.const(Z.order, c, mode)
+            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
         return Z, series2_mul(W, _exp_series(series2_mul(acc, Z)))
     if k == MapKind.F6:
         return Z, series2_mul(W, _exp_series(Z.scale(em.l + 1)))
@@ -403,8 +399,7 @@ def _apply_elem_jet(em: ElementaryMap, Z: Series2, W: Series2):
         return Z, series2_mul(P, W)
     # BL_INV: divide W by Z^l.
     l = em.l
-    c0 = complex(Z.coeffs[0]) if Z.dd else Z.coeffs[0]
-    if c0 != 0:
+    if Z.coeffs[0] != 0:
         # Z is a unit (jet taken away from the w-axis): plain inversion
         return Z, series2_mul(W, Z.inverse().pow(l))
     work = Z.order

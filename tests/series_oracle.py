@@ -5,14 +5,19 @@
 and must return equal results.  ``majorant`` is the O(D^4) recursion that
 expands sum_{nu>=2} (nu+1) s^nu power by power; ``fatou.linearization``
 runs one online O(D^2) recursion, whose summation order differs, and must
-agree within 1e-13 relative.  Kept here as the references that tests
-compare against.
+agree within 1e-13 relative.  ``solve_recursion`` is the psi recursion
+that pads the jet to order n and recomposes it against psi at every degree
+n, about D^5 work; ``fatou.linearization`` extends a table of powers of psi
+by one dot product per entry and degree, whose summation order differs,
+and must agree within 1e-13 relative.  Kept here as the references that
+tests compare against.
 """
 
 import math
 
 import numpy as np
 
+from fatou.algebra import Series1C2, series1_compose_map
 from fatou.diophantine import small_divisor_modulus
 
 
@@ -63,3 +68,18 @@ def majorant(M, eps, D):
         s[n] = M / eps[n] * _power_coefficient_sum(s, n)
     return s
 
+
+def solve_recursion(N_pair, divisors, D):
+    """psi_n = [w^n] N(psi) / (eps1_n, eps2_n), composing at order exactly n."""
+    psi = Series1C2.zero(D)
+    psi.coeffs[1, 0] = 1.0
+    for n in range(2, D + 1):
+        F_n = (N_pair[0].truncate(min(n, N_pair[0].order)).pad(n)
+               if N_pair[0].order < n else N_pair[0].truncate(n))
+        G_n = (N_pair[1].truncate(min(n, N_pair[1].order)).pad(n)
+               if N_pair[1].order < n else N_pair[1].truncate(n))
+        partial = Series1C2(n, psi.coeffs[: n + 1].copy(), _validate=False)
+        rhs = series1_compose_map((F_n, G_n), partial, order=n)
+        psi.coeffs[n, 0] = rhs.coeffs[n, 0] / divisors.eps1[n]
+        psi.coeffs[n, 1] = rhs.coeffs[n, 1] / divisors.eps2[n]
+    return psi

@@ -317,14 +317,3 @@ def test_json_roundtrip_bit_exact():
     assert np.array_equal(back_jet[0].coeffs, jet[0].coeffs)
     assert np.array_equal(back_jet[1].coeffs, jet[1].coeffs)
 
-
-def test_dd_mode_consistency():
-    # same exp computed in double and double-double agree to ~1e-15
-    D = 8
-    rng = np.random.RandomState(23)
-    a = rand_series(D, rng)
-    a.coeffs[0] = 0.0
-    e_double = series2_exp(a)
-    e_dd = series2_exp(a.to_dd()).to_complex()
-    scale = np.max(np.abs(e_double.coeffs))
-    assert np.max(np.abs(e_double.coeffs - e_dd.coeffs)) < 1e-14 * scale

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 from fatou.cli import main, parse_complex, parse_theta
 from fatou.diophantine import GOLDEN, SILVER, QuadraticIrrational
@@ -108,6 +109,30 @@ def test_linearize_majorant_overflow_exits_1(tmp_path, capsys):
     code, text = run(tmp_path, "linearize", "--theta", "golden", "--order", "250")
     assert code == 1 and text == ""
     assert "n = 242" in capsys.readouterr().err
+
+
+def test_linearize_double_double_default_order(tmp_path, monkeypatch):
+    code, text = run(tmp_path, "linearize", "--theta", "golden")
+    assert code == 0
+    double = json.loads(text)["data"]
+    monkeypatch.setenv("FATOU_PRECISION", "double-double")
+    code, text = run(tmp_path, "linearize", "--theta", "golden")
+    assert code == 0
+    dd = json.loads(text)["data"]
+    assert dd["precision_mode"] == "double-double" and dd["D"] == 20
+    for a, b in zip(dd["psi_coeffs"], double["psi_coeffs"]):
+        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-13 * max(map(abs, b))
+
+
+def test_linearize_largest_finite_order_warns_nothing(tmp_path, capsys):
+    # 241 is the last order before sigma overflows; eta_n delta_n is not
+    # finite there, which must not reach numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "linearize", "--theta", "golden", "--order", "241")
+    assert code == 0 and capsys.readouterr().err == ""
+    d = json.loads(text)["data"]
+    assert d["D"] == 241 and d["majorant_ok"] is True
 
 
 def test_linearize_jet_file(tmp_path):

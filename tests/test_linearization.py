@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from fatou.linearization import (
     result_to_json,
     solve_psi,
 )
-from fatou.linearization import _delta_sequence, _majorant_recursion
+from fatou.linearization import (
+    _delta_sequence,
+    _majorant_recursion,
+    _nonlinear_part,
+    _normalize_jet,
+)
 
 GOLD = GOLDEN.value()
 LAM = cmath.exp(2j * math.pi * GOLD)
@@ -132,20 +138,24 @@ def test_residual_radius_slope():
         assert abs(s - 9) < 1.5, slopes
 
 
-def test_normalization_preprocessing():
-    # conjugate the quadratic family by a random basis; the solver must
-    # recover the normal form and satisfy its functional equation
+def _conjugated_quadratic():
+    """The order-4 quadratic family conjugated by a random basis."""
     rng = np.random.RandomState(8)
     V = rng.randn(2, 2) + 1j * rng.randn(2, 2)
     Vinv = np.linalg.inv(V)
     P, Q = quadratic_test_family(LAM, order=4)
     P_v = P.compose_linear(V[0, 0], V[0, 1], V[1, 0], V[1, 1])
     Q_v = Q.compose_linear(V[0, 0], V[0, 1], V[1, 0], V[1, 1])
-    F_conj = (
+    return (
         P_v.scale(Vinv[0, 0]) + Q_v.scale(Vinv[0, 1]),
         P_v.scale(Vinv[1, 0]) + Q_v.scale(Vinv[1, 1]),
     )
-    res = solve_psi(F_conj, LAM, 12)
+
+
+def test_normalization_preprocessing():
+    # conjugate the quadratic family by a random basis; the solver must
+    # recover the normal form and satisfy its functional equation
+    res = solve_psi(_conjugated_quadratic(), LAM, 12)
     assert res.basis is not None
     assert res.residual < 1e-9
     assert res.psi.coeffs[1, 0] == 1.0
@@ -165,6 +175,75 @@ def test_dd_matches_double_on_benign_lambda():
     rdd = solve_psi(quadratic_test_family(LAM), LAM, 10, precision="dd")
     scale = np.max(np.abs(rd.psi.coeffs))
     assert np.max(np.abs(rd.psi.coeffs - rdd.psi.coeffs)) < 1e-13 * scale
+
+
+def _dense_jet(K, seed):
+    """(lambda z, w) plus random coefficients of size ~0.3 in degrees 2..K."""
+    rng = np.random.default_rng(seed)
+    jet = linear_family(LAM, order=K)
+    for S in jet:
+        for d in range(2, K + 1):
+            S.layer(d)[:] = 0.3 * (rng.standard_normal(d + 1)
+                                   + 1j * rng.standard_normal(d + 1))
+    return jet
+
+
+def _rel_err(got, want):
+    """max over n of ||got_n - want_n|| / ||want_n||, max-norm on C^2."""
+    num = np.max(np.abs(got - want), axis=1)
+    den = np.max(np.abs(want), axis=1)
+    assert np.all(num[den == 0] == 0)
+    return float(np.max(num[den > 0] / den[den > 0]))
+
+
+PSI_CASES = {
+    "quadratic-D80": (lambda: quadratic_test_family(LAM), 80),
+    "quadratic-order4": (lambda: quadratic_test_family(LAM, order=4), 30),
+    "dense-K3": (lambda: _dense_jet(3, 3), 30),
+    "dense-K6": (lambda: _dense_jet(6, 6), 30),
+    "dense-K10": (lambda: _dense_jet(10, 10), 30),
+    "conjugated": (_conjugated_quadratic, 12),
+}
+
+
+@pytest.mark.parametrize("case", PSI_CASES)
+def test_psi_matches_recomposition_oracle(case):
+    # the table of powers against recomposing the whole jet at every degree;
+    # the summation order differs, so agreement is to rounding, not bitwise
+    make, D = PSI_CASES[case]
+    F = make()
+    got = solve_psi(F, LAM, D, precision="double").psi.coeffs
+    N_pair = _nonlinear_part(_normalize_jet(F, LAM)[0], LAM)
+    want = series_oracle.solve_recursion(N_pair, compute_small_divisors(LAM, D), D)
+    assert _rel_err(got, want.coeffs) < 1e-13
+
+
+def _mp_quadratic_psi(mp, lam, D):
+    """psi of F = (lam z + w^2, w + z^2) by truncated products in mpmath."""
+    L = mp.mpc(lam.real, lam.imag)
+    u = [mp.mpc(0)] * (D + 1)
+    v = [mp.mpc(0)] * (D + 1)
+    u[1] = mp.mpc(1)
+    for n in range(2, D + 1):
+        u[n] = mp.fsum(v[k] * v[n - k] for k in range(1, n)) / (L**n - L)
+        v[n] = mp.fsum(u[k] * u[n - k] for k in range(1, n)) / (L**n - 1)
+    return np.array([[complex(a), complex(b)] for a, b in zip(u, v)])
+
+
+def test_dd_psi_matches_mpmath_near_resonance():
+    # |lambda^3 - 1| ~ 6e-10: double-double keeps every coefficient to the
+    # last bit of binary64, while double loses about 8 digits
+    mp = pytest.importorskip("mpmath")
+    lam = cmath.exp(2j * math.pi * (1.0 / 3.0 + 1e-10))
+    D = 12
+    with mp.workdps(50):
+        want = _mp_quadratic_psi(mp, lam, D)
+    F = quadratic_test_family(lam)
+    dd = solve_psi(F, lam, D, precision="dd")
+    assert dd.precision_mode == "double-double"
+    assert _rel_err(dd.psi.coeffs, want) < 1e-15
+    double = solve_psi(F, lam, D, precision="double")
+    assert _rel_err(double.psi.coeffs, want) > 1e-9
 
 
 # -- majorants ------------------------------------------------------------------
@@ -270,6 +349,21 @@ def test_eta_delta_split():
     div = compute_small_divisors(LAM, 4)
     assert abs(split.delta[2] - 1.0 / div.eps_min[2]) < 1e-15
     assert abs(split.sigma[2] - split.eta[2] * split.delta[2]) < 1e-14
+
+
+def test_split_check_does_not_overflow():
+    # at D = 241 the product eta_n delta_n overflows from n = 218 while
+    # sigma, eta and delta stay finite; the check must still give a verdict
+    c = max_c(GOLDEN, 1.0, 241)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = majorant_split(1.0, GOLDEN, c, 1.0, 241)
+        assert majorant_split(0.0, GOLDEN, c, 1.0, 20).split_ok  # sigma = eta = 0
+    assert split.split_ok
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(split.eta * split.delta))
+    logs = np.log(split.eta[2:]) + np.log(split.delta[2:])
+    assert np.all(np.log(split.sigma[2:]) <= logs + 1e-9)
 
 
 def test_split_rejects_bad_certificate():
