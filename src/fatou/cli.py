@@ -1,12 +1,14 @@
 """Command-line surface: reproducible experiments with CSV/JSON outputs.
 
 Subcommands: iterate, invariance, limit, curve, coverage, linearize, sweep,
-diophantine, sector.  A config file (INI key=value sections) supplies
-defaults; every flag overrides its config key.  Each output embeds the
-effective config and the package version; numbers are written with 17
-significant digits so reruns are byte-identical apart from the
-generated_at stamp.  FATOU_PRECISION=double-double switches the
-linearization recursion to extended precision.
+diophantine, sector.  FLAGS names each flag's INI section and key, COMMANDS
+the flags each subcommand reads; a subcommand rejects any other flag.  A
+config file (INI key=value sections) supplies defaults; every flag
+overrides its config key.  Each output embeds the effective config and the
+package version; numbers are written with 17 significant digits so reruns
+are byte-identical apart from the generated_at stamp.  linearize and sweep
+switch the recursion to double-double when a small divisor is below 1e-8
+and report it as precision_mode.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .diophantine import (
     GOLDEN,
     SILVER,
     QuadraticIrrational,
+    _theta_value,
     check_sector_lemma,
     check_siegel,
     continued_fraction,
@@ -91,12 +94,6 @@ def parse_theta(spec: str):
     return float(s)
 
 
-def theta_float(theta) -> float:
-    if isinstance(theta, QuadraticIrrational):
-        return theta.value()
-    return float(theta)
-
-
 def build_map(args):
     preset = args.map
     if preset is None:
@@ -110,7 +107,7 @@ def build_map(args):
             raise ValueError("rotation preset requires --theta (multiple of 2*pi)")
         th = parse_theta(args.theta)
         frac = th if isinstance(th, Fraction) else None
-        return rotation_map(2 * math.pi * theta_float(th), theta_frac=frac)
+        return rotation_map(2 * math.pi * _theta_value(th), theta_frac=frac)
     if preset == "four":
         return four_map_composite()
     if os.path.exists(preset):
@@ -122,37 +119,41 @@ def build_map(args):
 # -- config and output plumbing ----------------------------------------------
 
 
-CONFIG_KEYS = {
-    "map": ("map", "preset"),
-    "l": ("map", "l"),
-    "theta": ("map", "theta"),
-    "region": ("region", "nm"),
-    "seed": ("iteration", "seed"),
-    "seed_transformed": ("iteration", "seed_transformed"),
-    "n": ("iteration", "n"),
-    "record_every": ("iteration", "record_every"),
-    "tol": ("iteration", "tol"),
-    "n_max": ("iteration", "n_max"),
-    "samples": ("sampling", "samples"),
-    "steps": ("sampling", "steps"),
-    "seed_offset": ("sampling", "seed_offset"),
-    "grid": ("grid", "shape"),
-    "grid_origin": ("grid", "origin"),
-    "grid_step": ("grid", "step"),
-    "r": ("linearize", "r"),
-    "order": ("linearize", "order"),
-    "c": ("diophantine", "c"),
-    "N": ("diophantine", "n_exponent"),
-    "kmax": ("diophantine", "kmax"),
-    "eps": ("curve", "eps"),
-    "segments": ("curve", "segments"),
-    "target": ("curve", "target"),
-    "R": ("coverage", "radius"),
-    "z0": ("coverage", "z0_transformed"),
-    "ring_samples": ("coverage", "ring_samples"),
-    "targets": ("coverage", "targets"),
-    "precision": ("precision", "mode"),
-    "out": ("output", "path"),
+# dest -> (INI section, INI key, help); the flag is --dest with "_" as "-".
+# --config has no key of its own.
+FLAGS = {
+    "config": (None, None, "INI config file; flags override its keys"),
+    "out": ("output", "path", "output path (default stdout)"),
+    "map": ("map", "preset", "rank0|rank1|rotation|four or a map JSON file; for "
+            "linearize quadratic|linear or a jet JSON file, for sweep quadratic|linear"),
+    "l": ("map", "l", "Bl conjugation order for rank0 (default 2)"),
+    "theta": ("map", "theta", "golden|silver|p/q|float|quad:P,D,Q"),
+    "region": ("region", "nm", "N,M of the region U_{N,M}"),
+    "seed": ("iteration", "seed", "original coordinates 'a+bi,c+di'"),
+    "seed_transformed": ("iteration", "seed_transformed",
+                         "transformed chart seed 'a+bi,c+di'"),
+    "n": ("iteration", "n", "number of steps"),
+    "record_every": ("iteration", "record_every", "record every k-th step"),
+    "tol": ("iteration", "tol", "stopping tolerance"),
+    "n_max": ("iteration", "n_max", "iteration cap"),
+    "samples": ("sampling", "samples", "number of sampled seeds"),
+    "steps": ("sampling", "steps", "steps per sampled seed"),
+    "seed_offset": ("sampling", "seed_offset", "low-discrepancy offset"),
+    "grid": ("grid", "shape", "NZxNW, e.g. 10x10"),
+    "grid_origin": ("grid", "origin", "'zhat0,w0' transformed"),
+    "grid_step": ("grid", "step", "grid spacing"),
+    "r": ("linearize", "r", "|lambda| (default 1); for sweep and sector a comma list"),
+    "order": ("linearize", "order", "truncation degree D"),
+    "c": ("diophantine", "c", "certificate constant (default max_c)"),
+    "N": ("diophantine", "n_exponent", "certificate exponent (default 1)"),
+    "kmax": ("diophantine", "kmax", "largest k checked"),
+    "eps": ("curve", "eps", "sphere radius"),
+    "segments": ("curve", "segments", "samples per curve step"),
+    "target": ("curve", "target", "'z,w' center of the sphere (default origin)"),
+    "R": ("coverage", "radius", "target disk radius"),
+    "z0": ("coverage", "z0_transformed", "Re(-1/z0) transformed value, e.g. 200"),
+    "ring_samples": ("coverage", "ring_samples", "samples on the ring"),
+    "targets": ("coverage", "targets", "target points in the disk"),
 }
 
 
@@ -162,8 +163,9 @@ def apply_config(args: argparse.Namespace) -> argparse.Namespace:
     cp = configparser.ConfigParser()
     if not cp.read(args.config):
         raise ValueError(f"cannot read config file {args.config!r}")
-    for attr, (section, key) in CONFIG_KEYS.items():
-        if getattr(args, attr, None) is None and cp.has_option(section, key):
+    for attr, (section, key, _) in FLAGS.items():
+        # the subcommand's own flags only: one file can serve several subcommands
+        if attr in args and getattr(args, attr) is None and cp.has_option(section, key):
             setattr(args, attr, cp.get(section, key))
     return args
 
@@ -242,13 +244,6 @@ def write_csv(args, header, rows) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _precision(args) -> str:
-    mode = getattr(args, "precision", None) or os.environ.get("FATOU_PRECISION", "double")
-    if mode not in ("double", "double-double"):
-        raise ValueError("FATOU_PRECISION must be 'double' or 'double-double'")
-    return mode
 
 
 def _region(args) -> RegionUNM | None:
@@ -377,26 +372,25 @@ def cmd_coverage(args) -> int:
     return 0
 
 
+_FAMILIES = {"quadratic": quadratic_test_family, "linear": linear_family}
+
+
 def cmd_linearize(args) -> int:
     if args.theta is None:
         raise ValueError("linearize needs --theta")
     th = parse_theta(args.theta)
     r = float(args.r or 1.0)
-    lam = r * cmath.exp(2j * math.pi * theta_float(th))
+    lam = r * cmath.exp(2j * math.pi * _theta_value(th))
     D = int(args.order or 20)
     preset = args.map or "quadratic"
-    if preset == "quadratic":
-        jet = quadratic_test_family(lam)
-    elif preset == "linear":
-        jet = linear_family(lam)
+    if preset in _FAMILIES:
+        jet = _FAMILIES[preset](lam)
     elif os.path.exists(preset):
         with open(preset) as fh:
             jet = jet_from_json(fh.read())
     else:
         raise ValueError(f"unknown jet preset or missing file: {preset!r}")
-    mode = _precision(args)
-    res = solve_psi(jet, lam, D,
-                    precision="dd" if mode == "double-double" else "double")
+    res = solve_psi(jet, lam, D)
     split = None
     if res.M > 0 and not isinstance(th, Fraction):
         n_exp = float(args.N or 1.0)
@@ -413,8 +407,10 @@ def cmd_sweep(args) -> int:
     th = parse_theta(args.theta)
     r_values = [float(x) for x in str(args.r).split(",")]
     D = int(args.order or 20)
-    family = quadratic_test_family if (args.map or "quadratic") == "quadratic" \
-        else linear_family
+    family = _FAMILIES.get(args.map or "quadratic")
+    if family is None:
+        # a jet file fixes lambda, so it gives no family to sweep
+        raise ValueError(f"sweep needs --map quadratic or linear, got {args.map!r}")
     sw = parameter_sweep(family, th, r_values, D)
     write_json(args, {
         "r_values": sw.r_values,
@@ -448,7 +444,7 @@ def cmd_diophantine(args) -> int:
     cert = check_siegel(th, c, n_exp, kmax)
     cf = continued_fraction(th, 40)
     write_json(args, {
-        "theta": theta_float(th),
+        "theta": _theta_value(th),
         "c": c,
         "N": n_exp,
         "k_max": kmax,
@@ -493,16 +489,29 @@ def cmd_sector(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override its keys")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--map", help="rank0|rank1|rotation|four or a map JSON file")
-    p.add_argument("--l", help="Bl conjugation order for rank0 (default 2)")
-    p.add_argument("--theta", help="golden|silver|p/q|float|quad:P,D,Q")
-    p.add_argument("--tol", help="stopping tolerance")
-    p.add_argument("--n-max", dest="n_max", help="iteration cap")
-    p.add_argument("--precision", choices=["double", "double-double"])
-    p.add_argument("--seed-offset", dest="seed_offset", help="low-discrepancy offset")
+_MAP = ("map", "l", "theta")
+
+# name -> (help, function, the flags it reads besides --config and --out)
+COMMANDS = {
+    "iterate": ("orbit CSV for one seed", cmd_iterate,
+                _MAP + ("seed", "seed_transformed", "n", "record_every", "region", "tol")),
+    "invariance": ("forward-invariance sampling report", cmd_invariance,
+                   _MAP + ("region", "samples", "steps", "seed_offset")),
+    "limit": ("limit-map estimate with rank verdict", cmd_limit,
+              _MAP + ("grid", "grid_origin", "grid_step", "region", "tol", "n_max")),
+    "curve": ("invariant curve and sphere crossings", cmd_curve,
+              _MAP + ("seed_transformed", "target", "segments", "eps", "n_max")),
+    "coverage": ("argument-principle w-axis coverage", cmd_coverage,
+                 _MAP + ("R", "z0", "ring_samples", "targets", "tol", "n_max")),
+    "linearize": ("solve the conjugation recursion", cmd_linearize,
+                  ("map", "theta", "r", "order", "c", "N")),
+    "sweep": ("parameter sweep over r with FD smoothness", cmd_sweep,
+              ("map", "theta", "r", "order")),
+    "diophantine": ("small-divisor certificate", cmd_diophantine,
+                    ("theta", "c", "N", "kmax")),
+    "sector": ("sector bound sweep off the unit circle", cmd_sector,
+               ("theta", "r", "N", "kmax")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,76 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "C^2 automorphisms",
     )
     sub = ap.add_subparsers(dest="command")
-
-    p = sub.add_parser("iterate", help="orbit CSV for one seed")
-    _add_common(p)
-    p.add_argument("--seed", help="original coordinates 'a+bi,c+di'")
-    p.add_argument("--seed-transformed", dest="seed_transformed",
-                   help="transformed chart seed 'a+bi,c+di'")
-    p.add_argument("--n", help="number of steps")
-    p.add_argument("--record-every", dest="record_every")
-    p.add_argument("--region", help="N,M for membership flags")
-    p.set_defaults(func=cmd_iterate)
-
-    p = sub.add_parser("invariance", help="forward-invariance sampling report")
-    _add_common(p)
-    p.add_argument("--region", help="N,M")
-    p.add_argument("--samples")
-    p.add_argument("--steps")
-    p.set_defaults(func=cmd_invariance)
-
-    p = sub.add_parser("limit", help="limit-map estimate with rank verdict")
-    _add_common(p)
-    p.add_argument("--grid", help="NZxNW, e.g. 10x10")
-    p.add_argument("--grid-origin", dest="grid_origin", help="'zhat0,w0' transformed")
-    p.add_argument("--grid-step", dest="grid_step")
-    p.add_argument("--region", help="N,M used to place the default grid")
-    p.set_defaults(func=cmd_limit)
-
-    p = sub.add_parser("curve", help="invariant curve and sphere crossings")
-    _add_common(p)
-    p.add_argument("--seed-transformed", dest="seed_transformed")
-    p.add_argument("--target", help="'z,w' center of the sphere (default origin)")
-    p.add_argument("--segments", help="samples per curve step")
-    p.add_argument("--eps", help="sphere radius")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("coverage", help="argument-principle w-axis coverage")
-    _add_common(p)
-    p.add_argument("--R", help="target disk radius")
-    p.add_argument("--z0", help="Re(-1/z0) transformed value, e.g. 200")
-    p.add_argument("--ring-samples", dest="ring_samples")
-    p.add_argument("--targets")
-    p.set_defaults(func=cmd_coverage)
-
-    p = sub.add_parser("linearize", help="solve the conjugation recursion")
-    _add_common(p)
-    p.add_argument("--r", help="|lambda| (default 1)")
-    p.add_argument("--order", help="truncation degree D")
-    p.add_argument("--c", help="certificate constant (default max_c)")
-    p.add_argument("--N", help="certificate exponent (default 1)")
-    p.set_defaults(func=cmd_linearize)
-
-    p = sub.add_parser("sweep", help="parameter sweep over r with FD smoothness")
-    _add_common(p)
-    p.add_argument("--r", help="comma list of r values")
-    p.add_argument("--order")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("diophantine", help="small-divisor certificate")
-    _add_common(p)
-    p.add_argument("--c")
-    p.add_argument("--N")
-    p.add_argument("--kmax")
-    p.set_defaults(func=cmd_diophantine)
-
-    p = sub.add_parser("sector", help="sector bound sweep off the unit circle")
-    _add_common(p)
-    p.add_argument("--r", help="comma list of r values")
-    p.add_argument("--N")
-    p.add_argument("--kmax")
-    p.set_defaults(func=cmd_sector)
-
+    for name, (help_text, func, flags) in COMMANDS.items():
+        # no abbreviations: --seed must not stand for --seed-transformed
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for dest in ("config", "out") + flags:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=FLAGS[dest][2])
+        p.set_defaults(func=func)
     return ap
 
 
@@ -596,8 +541,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if "--help" not in (argv or []):
-            sys.stderr.write(f"run 'fatou {args.command} --help' for usage\n")
+        sys.stderr.write(f"run 'fatou {args.command} --help' for usage\n")
         return 1
 
 

@@ -76,9 +76,7 @@ def to_transformed(z):
         return np.where(z == 0, np.inf + 0j, -1.0 / z)
 
 
-def from_transformed(zhat):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(zhat == 0, np.inf + 0j, -1.0 / zhat)
+from_transformed = to_transformed  # z -> -1/z is an involution
 
 
 @dataclass(frozen=True)
@@ -452,30 +450,21 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
     convergence and argument equidistribution diagnostics instead.
     """
     fp = m.fastpath
+    q = None
     if fp is not None and fp.kind == "rotation":
         q = fp.rotation_order()
         if q is None:
             return _rotation_oscillation_estimate(m, grid, tol, n_max, tau1, tau2)
-        zhat, w = grid.seeds()
-        z = np.asarray(from_transformed(zhat))
-        z, w, n_used, sup_delta, _, _ = _lockstep_iterate(
-            m, z.ravel(), w.ravel(), tol, n_max, stride=q)
-        _raise_on_escape(m, grid, z, w, n_used, q)
-        shape = (grid.nz, grid.nw)
-        endz = z.reshape(shape)
-        endw = w.reshape(shape)
-        est = _finish_estimate(m, grid, endz, endw, n_used, sup_delta, tol,
-                               tau1, tau2, n_max)
-        est.rotation_order = q
-        return est
+    stride = q or 1
     zhat, w = grid.seeds()
-    z = np.asarray(from_transformed(zhat))
     z, w, n_used, sup_delta, _, _ = _lockstep_iterate(
-        m, z.ravel(), w.ravel(), tol, n_max)
-    _raise_on_escape(m, grid, z, w, n_used)
+        m, from_transformed(zhat).ravel(), w.ravel(), tol, n_max, stride=stride)
+    _raise_on_escape(m, grid, z, w, n_used, stride)
     shape = (grid.nz, grid.nw)
-    return _finish_estimate(m, grid, z.reshape(shape), w.reshape(shape),
-                            n_used, sup_delta, tol, tau1, tau2, n_max)
+    est = _finish_estimate(m, grid, z.reshape(shape), w.reshape(shape),
+                           n_used, sup_delta, tol, tau1, tau2, n_max)
+    est.rotation_order = q
+    return est
 
 
 def _raise_on_escape(m, grid, z, w, n_used, stride=1):

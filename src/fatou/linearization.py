@@ -48,7 +48,7 @@ import numpy as np
 
 from .algebra import Series1C2, Series2, SeriesError, series1_eval, tri_index
 from .ddc import DDComplex
-from .diophantine import check_siegel
+from .diophantine import _theta_value, check_siegel
 
 __all__ = [
     "SmallDivisors",
@@ -425,8 +425,6 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
             f"(c={c}, N={N}) is not a valid certificate for theta0 up to {D}: "
             f"first violation at k = {cert.violations[0][0]}"
         )
-    from .diophantine import _theta_value
-
     lam0 = cmath.exp(2j * math.pi * _theta_value(theta0))
     divisors = compute_small_divisors(lam0, max(D, 2))
     sigma = majorant_sigma(M, divisors, D)
@@ -561,8 +559,6 @@ def parameter_sweep(F_family, theta0, r_values, D: int, *,
     test accepts [1.8, 2.2].  Coefficients with no measurable curvature are
     vacuously smooth and are skipped.
     """
-    from .diophantine import _theta_value
-
     th = _theta_value(theta0)
     r_values = [float(r) for r in r_values]
     if sorted(r_values) != r_values:

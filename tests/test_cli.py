@@ -1,9 +1,15 @@
+import cmath
 import json
+import math
 import re
 import warnings
 
-from fatou.cli import main, parse_complex, parse_theta
+import numpy as np
+import pytest
+
+from fatou.cli import COMMANDS, FLAGS, main, parse_complex, parse_theta
 from fatou.diophantine import GOLDEN, SILVER, QuadraticIrrational
+from fatou.linearization import quadratic_test_family, solve_psi
 from fractions import Fraction
 
 
@@ -111,17 +117,37 @@ def test_linearize_majorant_overflow_exits_1(tmp_path, capsys):
     assert "n = 242" in capsys.readouterr().err
 
 
-def test_linearize_double_double_default_order(tmp_path, monkeypatch):
+def test_linearize_double_double_default_order(tmp_path):
+    # golden's divisors stay far above 1e-8 at the default order
     code, text = run(tmp_path, "linearize", "--theta", "golden")
     assert code == 0
-    double = json.loads(text)["data"]
-    monkeypatch.setenv("FATOU_PRECISION", "double-double")
-    code, text = run(tmp_path, "linearize", "--theta", "golden")
+    d = json.loads(text)["data"]
+    assert d["precision_mode"] == "double" and d["D"] == 20
+
+
+def test_linearize_escalates_near_resonance(tmp_path):
+    # theta = 1/3 + 1e-10: |lambda^3 - 1| is about 6e-10, below the 1e-8 switch
+    theta = "0.3333333334333333"
+    code, text = run(tmp_path, "linearize", "--theta", theta, "--order", "12")
     assert code == 0
-    dd = json.loads(text)["data"]
-    assert dd["precision_mode"] == "double-double" and dd["D"] == 20
-    for a, b in zip(dd["psi_coeffs"], double["psi_coeffs"]):
-        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-13 * max(map(abs, b))
+    d = json.loads(text)["data"]
+    assert d["precision_mode"] == "double-double"
+    lam = 1.0 * cmath.exp(2j * math.pi * float(theta))
+    want = solve_psi(quadratic_test_family(lam), lam, 12, precision="dd").psi.coeffs
+    rows = np.array(d["psi_coeffs"], dtype=float)
+    got = np.stack([rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]], 1)
+    assert np.array_equal(got, want)
+
+
+def test_precision_env_is_ignored(tmp_path, monkeypatch):
+    argv = ["linearize", "--theta", "golden", "--order", "6"]
+    code, plain = run(tmp_path, *argv)
+    assert code == 0
+    for value in ("double-double", "bogus"):
+        monkeypatch.setenv("FATOU_PRECISION", value)
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert strip_timestamp(text) == strip_timestamp(plain)
 
 
 def test_linearize_largest_finite_order_warns_nothing(tmp_path, capsys):
@@ -150,6 +176,13 @@ def test_linearize_jet_file(tmp_path):
     assert code == 0
     d = json.loads(text)["data"]
     assert d["majorant_ok"] is True and d["residual"] < 1e-8
+
+
+@pytest.mark.parametrize("preset", ["rank0", "nonsense"])
+def test_sweep_rejects_map_without_family(tmp_path, preset):
+    code, text = run(tmp_path, "sweep", "--theta", "golden", "--r", "0.99,1.0,1.01",
+                     "--order", "6", "--map", preset)
+    assert code == 1 and text == ""
 
 
 def test_diophantine_golden(tmp_path):
@@ -231,6 +264,15 @@ def test_config_file_and_flag_override(tmp_path):
     assert len(rows2) == 7  # header + steps 0..5
 
 
+def test_config_fills_only_the_commands_flags(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[map]\ntheta = golden\n[linearize]\norder = 6\n[iteration]\ntol = 5\n")
+    code, text = run(tmp_path, "diophantine", "--config", str(cfg), "--kmax", "100")
+    assert code == 0
+    assert json.loads(text)["meta"]["config"] == {
+        "command": "diophantine", "kmax": "100", "theta": "golden"}
+
+
 def test_byte_determinism_modulo_timestamp(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -251,11 +293,17 @@ def test_csv_determinism_modulo_timestamp(tmp_path):
     assert strip_timestamp(a.read_text()) == strip_timestamp(b.read_text())
 
 
-def test_precision_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FATOU_PRECISION", "double-double")
-    code, text = run(tmp_path, "linearize", "--theta", "golden", "--order", "6")
-    assert code == 0
-    assert json.loads(text)["data"]["precision_mode"] == "double-double"
-    monkeypatch.setenv("FATOU_PRECISION", "bogus")
-    code, _ = run(tmp_path, "linearize", "--theta", "golden", "--order", "6")
-    assert code == 1
+# -- flags ------------------------------------------------------------------
+
+
+def test_each_command_rejects_flags_it_does_not_read(capsys):
+    for name, (_, _, flags) in COMMANDS.items():
+        for dest in FLAGS.keys() - {"config", "out", *flags}:
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--" + dest.replace("_", "-"), "1"])
+            assert exc.value.code == 2, (name, dest)
+    for flag in ("--tol", "--precision", "--map", "--seed-offset"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sector", "--theta", "golden", "--r", "0.999,1.001", flag, "5"])
+        assert exc.value.code == 2, flag
+    capsys.readouterr()  # drop argparse's usage messages from the report
