@@ -9,8 +9,8 @@ A map is an ordered pipeline of generators (applied left to right):
 The three preset maps conjugate a w-axis-fixing composition by Bl; the
 resulting z^-l singularity is removable, and evaluation routes through an
 algebraically simplified closed form (the ``fastpath``) so that the limit
-value (0, w) on the w-axis is produced exactly and no precision is lost to
-the naive division for small |z|.
+value (0, w) on the w-axis is produced exactly and less precision is lost
+than to the naive division for small |z| (see ``_fast_forward``).
 
 All evaluators accept numpy arrays and broadcast elementwise; AutoMap values
 are immutable and evaluation is pure, so maps can be shared across threads
@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -167,14 +167,19 @@ def _inverse_elem(em: ElementaryMap) -> ElementaryMap:
     return bl(em.l)
 
 
+def _horner(coeffs: tuple, x):
+    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ..., Horner form."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
 def _poly_tail(coeffs: tuple, x, start: int):
-    """sum_k coeffs[k] * x^(start+k), Horner form; works on scalars and arrays."""
+    """sum_k coeffs[k] * x^(start+k); works on scalars and arrays."""
     if not coeffs:
         return np.zeros_like(x)
-    acc = coeffs[-1] + 0j   # as 0 + c: a -0.0 part becomes 0.0
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x
-        acc += c
+    acc = _horner(coeffs[:-1] + (coeffs[-1] + 0j,), x)   # as 0 + c: a -0.0 part becomes 0.0
     return acc * x if start == 1 else acc * x**start
 
 
@@ -205,6 +210,23 @@ def _apply_elem(em: ElementaryMap, z, w):
 # -- fastpath closed forms ---------------------------------------------------
 
 
+class _KernelConstants:
+    """What the step kernel multiplies by, as 0-d complex128 arrays: numpy
+    broadcasts those faster than Python scalars, with the same result."""
+
+    def __init__(self, fp):
+        l = fp.l
+        c0 = lambda v: np.array(v, dtype=np.complex128)
+        self.shear = tuple(c0(a) for a in fp.shear)
+        # (l+1) zu + f(zu) = zu (l+1 + c1 + c2 zu + ...): one Horner form
+        over = fp.overshear or (0j,)
+        self.expo = (c0(over[0] + (l + 1)),) + tuple(c0(c) for c in over[1:])
+        self.rot = c0(cmath.exp(1j * fp.theta)) if fp.theta else None
+        # z^l (and zu^l, zu = z there) can underflow to 0 only where
+        # |z|^l < 1e-300
+        self.guard = max(AXIS_THRESHOLD, 1e-300 ** (1.0 / l))
+
+
 @dataclass(frozen=True)
 class FastPath:
     """Closed-form evaluator for the Bl-conjugated presets.
@@ -220,6 +242,10 @@ class FastPath:
     overshear: tuple = ()
     theta: float = 0.0
     theta_frac: Fraction | None = None
+    consts: _KernelConstants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "consts", _KernelConstants(self))
 
     def rotation_order(self) -> int | None:
         """Denominator q when theta = 2 pi p/q, else None."""
@@ -229,45 +255,40 @@ class FastPath:
 
 
 def _fast_forward(fp: FastPath, z, w):
-    """One step of a Bl-conjugated preset in closed form: with s = z + z^l w,
-    zA = z e^s and zu = z e^zA, the image is zu and
-    (z^l w - z (e^s - 1) + g(zu)) / z^l * e^{(l+1) zu - l zA + f(zu)} e^{i theta}.
+    """One step of a Bl-conjugated preset in closed form: with s = z + z^l w
+    and zu = z e^{z e^s}, the image is zu and
+    (z^l w - z (e^s - 1) + g(zu)) / zu^l * e^{(l+1) zu + f(zu)} e^{i theta};
+    the pipeline's factor e^{-l z e^s} / z^l is 1 / zu^l.
 
-    Operand order is fixed, since complex * is not bitwise commutative when
-    the compiled loop fuses a multiply-add, and no complex product writes
-    over an operand: a one-element product in place takes a loop without
-    the fused multiply-add.  |z| < AXIS_THRESHOLD, or z^l underflow at
-    finite z, takes the removable-singularity limit (0, e^{i theta} w);
-    overflowed z stays on the escape path.
+    The bracket cancels terms of size |z|^2 down to z^l w, so w carries an
+    absolute error of a few eps |z|^(2-l): none at l = 2, but at l >= 3 it
+    grows as the orbit nears the w-axis (the generator pipeline, dividing
+    by z^l, is worse still).  No complex product writes over an operand, so
+    a seed's image does not depend on the batch it is in (a one-element
+    product in place takes a loop without the fused multiply-add).
+    |z| < AXIS_THRESHOLD, or z^l underflow at finite z, takes the
+    removable-singularity limit (0, e^{i theta} w); one reduction over |z|
+    decides whether any seed needs that test.  Overflowed z stays on the
+    escape path.
     """
-    l = fp.l
+    k = fp.consts
     with np.errstate(all="ignore"):
-        zl = z * z if l == 2 else z**l
+        zl = z * z if fp.l == 2 else z**fp.l
         zlw = zl * w
-        s = z + zlw
-        xr, xi = s.real, s.imag
-        em1 = np.expm1(xr) * np.cos(xi) - 2.0 * np.sin(xi / 2.0) ** 2
-        em1 = em1 + 1j * (np.sin(xi) * np.exp(xr))   # e^s - 1, no cancellation at 0
-        zA = z * (em1 + 1.0)
-        zu = z * np.exp(zA)
-        brac = zlw - z * em1
-        brac += _poly_tail(fp.shear, zu, 2)
-        expo = (l + 1) * zu
-        expo -= l * zA
-        if fp.overshear:
-            expo += _poly_tail(fp.overshear, zu, 1)
-        brac /= zl
-        w1 = brac * np.exp(expo)
-        rot = cmath.exp(1j * fp.theta) if fp.theta else 1.0
-        if fp.theta:
-            w1 = w1 * rot
+        zem1 = z * np.expm1(z + zlw)   # z (e^s - 1)
+        zu = z * np.exp(z + zem1)
+        brac = zlw - zem1
+        zu2 = zu * zu
+        brac += _horner(k.shear, zu) * zu2
+        zul = zu2 if fp.l == 2 else zu**fp.l
+        w1 = brac / zul * np.exp(zu * _horner(k.expo, zu))
+        if k.rot is not None:
+            w1 = w1 * k.rot
         az = np.abs(z)
-        axis = az < AXIS_THRESHOLD
-        underflow = zl == 0
-        if np.count_nonzero(axis) or np.count_nonzero(underflow):
-            axis |= underflow & (az < np.inf)
+        if np.fmin.reduce(az, axis=None, initial=np.inf) < k.guard:
+            axis = (az < AXIS_THRESHOLD) | ((zl == 0) & (az < np.inf))
             zu = np.where(axis, 0.0 * z, zu)
-            w1 = np.where(axis, w * rot, w1)
+            w1 = np.where(axis, w if k.rot is None else w * k.rot, w1)
     return zu, w1
 
 

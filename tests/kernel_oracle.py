@@ -1,10 +1,11 @@
-"""The closed-form step kernel of the Bl-conjugated presets as first written.
+"""Reference evaluators for the closed-form step kernel of the presets.
 
-It evaluates the formula with plain numpy expressions, two errstate blocks
-and the axis-limit selection on every call.  ``fatou.maps._fast_forward``
-must give bitwise the same z and w: same float operations, same operand
-order.  Kept here as the reference that tests compare the fused kernel
-against.
+``fast_forward`` is the kernel as first written: the formula in plain numpy
+expressions, with e^s - 1 split into real and imaginary parts, two errstate
+blocks and the axis-limit selection on every call.  ``fatou.maps._fast_forward``
+reorders its float operations, so tests bound its distance from this one in
+ulps instead of asking for equal bits.  ``mp_step`` evaluates the generator
+pipeline itself in mpmath, the truth both kernels are measured against.
 """
 
 import cmath
@@ -58,3 +59,32 @@ def fast_forward(fp, z, w):
         z1 = np.where(axis, 0.0 * z, zu)
         w1 = np.where(axis, w * rot, w1)
     return z1, w1
+
+
+def mp_step(m, z, w, dps=80):
+    """One step of the generator pipeline m.pipeline at (z, w), in mpmath at
+    dps digits; the coefficients and theta are the binary64 values the map
+    holds.  The truth that the closed form and the pipeline both round."""
+    import mpmath as mp
+
+    from fatou.maps import MapKind as K
+
+    with mp.workdps(dps):
+        z, w = mp.mpc(z), mp.mpc(w)
+        for em in m.pipeline:
+            k = em.kind
+            if k in (K.F2, K.F4):
+                z = z * mp.exp(w if k == K.F2 else -w)
+            elif k in (K.F1, K.F3):
+                w = w + z if k == K.F1 else w - z
+            elif k == K.SHEAR:
+                w = w + sum(mp.mpc(c) * z**(i + 2) for i, c in enumerate(em.coeffs))
+            elif k == K.OVERSHEAR:
+                w = w * mp.exp(sum(mp.mpc(c) * z**(i + 1) for i, c in enumerate(em.coeffs)))
+            elif k == K.F6:
+                w = w * mp.exp((em.l + 1) * z)
+            elif k == K.THETA:
+                w = w * mp.expj(mp.mpf(em.theta))
+            else:
+                w = w * z**em.l if k == K.BL else w / z**em.l
+        return complex(z), complex(w)
