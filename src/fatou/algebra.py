@@ -273,11 +273,11 @@ class Series2:
         _check_finite(out, "Series2.compose_linear")
         return Series2(D, out, _validate=False)
 
-    def shift_div_z1(self, l: int, drop_tol: float = 1e-9) -> "Series2":
+    def shift_div_z1(self, l: int) -> "Series2":
         """Exact division by z^l.
 
         Requires every monomial with z-power < l to vanish (up to roundoff
-        `drop_tol` relative to the largest coefficient); the result has
+        1e-9 relative to the largest coefficient); the result has
         truncation order reduced by l.
         """
         if l < 0:
@@ -295,7 +295,7 @@ class Series2:
                 c = self.coeffs[tri_index(l1, l2)]
                 mag = abs(c)
                 if l1 < l:
-                    if mag > drop_tol * max(scale, 1e-300):
+                    if mag > 1e-9 * max(scale, 1e-300):
                         raise SeriesError(
                             f"series not divisible by z^{l}: monomial ({l1},{l2}) "
                             f"has coefficient of magnitude {mag:.3e}"

@@ -334,8 +334,7 @@ class SectorReport:
         )
 
 
-def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0,
-                       drift_band=(0.5, 2.0)) -> SectorReport:
+def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorReport:
     """Check the sector split for lambda = r e^{2 pi i theta0} near |r| = 1.
 
     k is in the sector I when |arg(e^{2 pi i k theta0})| > pi/4, i.e. when
@@ -371,7 +370,7 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0,
             rk = rk_m1 + 1.0
             v = math.sqrt(rk_m1 * rk_m1 + 4.0 * rk * sin_half * sin_half)
             unit_mod = 2.0 * sin_half
-            if not drift_band[0] <= rk <= drift_band[1]:
+            if not 0.5 <= rk <= 2.0:
                 res["drift"].append(k)
             if dist > 0.125:  # k in I
                 if not v > half_sqrt2:

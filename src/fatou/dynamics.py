@@ -15,6 +15,11 @@ instead of per-seed stopping noise.
 
 Limit-map Jacobians are taken in the transformed chart (the chart the
 region lives in); the rank verdict is chart-independent.
+
+One engine, _lockstep_iterate, runs every orbit by iterating a step
+function.  Escape is data in iterate and verify_forward_invariance; every
+other entry point raises MapEscapeError through _raise_on_escape, naming
+the seeds and the step at which each escaped.
 """
 
 from __future__ import annotations
@@ -163,8 +168,6 @@ class OrbitRecord:
     seed: tuple
     seed_transformed: tuple
     steps: list
-    product_acc: complex     # running homogeneous multiplier product P_n
-    sum_acc: complex         # running inhomogeneous remainder S_n
     escaped: bool
     stop_reason: str         # "completed" | "converged" | "escaped"
     n_performed: int
@@ -174,14 +177,12 @@ class OrbitRecord:
 def iterate(m: AutoMap, seed, n_max: int, record_every: int = 1, *,
             transformed: bool = False, region: RegionUNM | None = None,
             stop_tol: float | None = 1e-12) -> OrbitRecord:
-    """Iterate one seed, recording strides; accumulators update every step.
+    """Iterate one seed, recording every record_every-th step and the last.
 
-    The product/sum accumulators split each step into the homogeneous
-    multiplier m_j = (w_{j+1} - s_j)/w_j and the inhomogeneous part
-    s_j = pi_2(F(z_j, 0)), so that w_n = w_0 P_n + S_n identically.
-    Stops early on escape (overflow is data, not an error) or when the
-    step delta falls below stop_tol.  This is a one-seed run of the
-    lockstep engine.
+    A one-seed run of the lockstep engine.  Escape is data, not an error:
+    the run stops after a step that leaves ESCAPE_RADIUS, or before a step
+    whose image is not finite, and reports "escaped".  It also stops once
+    the step delta falls below stop_tol ("converged").
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -189,7 +190,8 @@ def iterate(m: AutoMap, seed, n_max: int, record_every: int = 1, *,
     if transformed:
         z0 = complex(from_transformed(np.complex128(z0)))
     steps = []
-    radius_escape = False
+    escaped = False
+    last = (0, np.array([z0]), np.array([w0]))   # the last finite step
 
     def record(n, z, w):
         zh = complex(to_transformed(z)[0])
@@ -197,26 +199,26 @@ def iterate(m: AutoMap, seed, n_max: int, record_every: int = 1, *,
         steps.append(OrbitStep(n, complex(z[0]), wn, zh,
                                bool(region.contains(zh, wn)) if region else None))
 
-    def on_step(n, z, w, P, S):
-        nonlocal radius_escape
-        if n % record_every == 0 or n == n_max:
-            record(n, z, w)
-        radius_escape = max(abs(z[0]), abs(w[0])) > ESCAPE_RADIUS
-        return radius_escape
+    def on_step(n, z, w):
+        nonlocal escaped, last
+        zn, wn = complex(z[0]), complex(w[0])
+        if cmath.isfinite(zn) and cmath.isfinite(wn):  # else stop before this step
+            last = (n, z, w)
+            if n % record_every == 0 or n == n_max:
+                record(n, z, w)
+        escaped = not (abs(zn) <= ESCAPE_RADIUS and abs(wn) <= ESCAPE_RADIUS)
+        return escaped
 
-    z, w = np.array([z0]), np.array([w0])
-    record(0, z, w)
-    z, w, n_done, sup_delta, P, S = _lockstep_iterate(
-        m, z, w, stop_tol, n_max, check_every=1, track_products=True,
-        on_step=on_step, finite_only=True)
+    record(*last)
+    sup_delta = _lockstep_iterate(m.eval_batch, last[1], last[2], stop_tol, n_max,
+                                  check_every=1, on_step=on_step)[3]
+    n_done, z, w = last
     converged = stop_tol is not None and sup_delta < stop_tol
-    escaped = radius_escape or (n_done < n_max and not converged)
     reason = "escaped" if escaped else "converged" if converged else "completed"
     if steps[-1].n != n_done:
         record(n_done, z, w)
     return OrbitRecord((z0, w0), (complex(to_transformed(np.complex128(z0))), w0),
-                       steps, complex(P[0]), complex(S[0]), escaped, reason,
-                       n_done, region)
+                       steps, escaped, reason, n_done, region)
 
 
 ORBIT_CSV_HEADER = ("n", "re_z", "im_z", "re_w", "im_w",
@@ -244,7 +246,8 @@ def check_growth_bounds(m: AutoMap, zhat0, w0, n_steps: int):
     """Track n/2 <= |zhat_n| <= |zhat_0| + 2n along transformed orbits.
 
     Seeds are transformed-chart; iteration happens in original coordinates.
-    Returns a dict with violation counts and the worst margins.
+    Returns a dict with violation counts and the worst margins; an orbit
+    that escapes raises MapEscapeError.
     """
     zhat0 = np.asarray(zhat0, dtype=complex)
     base = np.abs(zhat0)
@@ -253,7 +256,7 @@ def check_growth_bounds(m: AutoMap, zhat0, w0, n_steps: int):
     lower_viol = 0
     upper_viol = 0
 
-    def on_step(n, z, w, P, S):
+    def on_step(n, z, w):
         nonlocal lower_margin, upper_margin, lower_viol, upper_viol
         zh = np.abs(to_transformed(z))
         lo = zh - n / 2.0
@@ -263,7 +266,9 @@ def check_growth_bounds(m: AutoMap, zhat0, w0, n_steps: int):
         lower_margin = min(lower_margin, float(lo.min()))
         upper_margin = min(upper_margin, float(hi.min()))
 
-    _lockstep_iterate(m, from_transformed(zhat0), w0, None, n_steps, on_step=on_step)
+    z, w, n, _ = _lockstep_iterate(m.eval_batch, from_transformed(zhat0), w0, None,
+                                   n_steps, on_step=on_step)
+    _raise_on_escape(m, zhat0, w0, _escaped(z, w), n, "growth-bound seeds")
     return {
         "ok": lower_viol == 0 and upper_viol == 0,
         "lower_violations": lower_viol,
@@ -293,7 +298,8 @@ def verify_forward_invariance(m: AutoMap, region: RegionUNM, samples: int,
     """Iterate a boundary-biased deterministic sample and record exits.
 
     The violations list is empty iff every sampled orbit stays in U for
-    n_steps.  Orbits that exit are frozen at the exit step.
+    n_steps.  Orbits that exit are frozen at the exit step; an escape is
+    an exit, not an error.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -302,7 +308,7 @@ def verify_forward_invariance(m: AutoMap, region: RegionUNM, samples: int,
     alive = np.ones(samples, dtype=bool)
     violations = []
 
-    def on_step(n, z, w, P, S):
+    def on_step(n, z, w):
         nonlocal alive
         zh = to_transformed(z)
         inside = region.contains(zh, w)
@@ -313,7 +319,7 @@ def verify_forward_invariance(m: AutoMap, region: RegionUNM, samples: int,
             alive &= inside
         return not alive.any()
 
-    _lockstep_iterate(m, from_transformed(zhat), w, None, n_steps, on_step=on_step)
+    _lockstep_iterate(m.eval_batch, from_transformed(zhat), w, None, n_steps, on_step=on_step)
     return InvarianceReport(region, samples, n_steps, violations)
 
 
@@ -371,29 +377,20 @@ class LimitMapEstimate:
     oscillation: dict | None = None
 
 
-def _lockstep_iterate(m: AutoMap, z, w, tol: float | None, n_max: int, *,
-                      stride: int = 1, check_every: int = 64,
-                      track_products: bool = False, on_step=None,
-                      finite_only: bool = False):
+def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
+                      stride: int = 1, check_every: int = 64, on_step=None):
     """Advance all seeds together until every step delta is below tol.
 
-    The one orbit engine of the module: one kernel call per map step.
+    The one orbit engine of the module: step(z, w) -> (z', w') is one map
+    step on arrays of seeds (AutoMap.eval_batch, or the product/sum step).
     stride > 1 iterates the stride-th power of the map (subsequence mode).
     The sup of the last step's deltas is checked every check_every steps
-    and at n_max; tol None runs all n_max steps.  track_products splits
-    each step as w' = mult w + s, s = pi_2(F(z, 0)), into P = prod mult
-    and S, so that w_n = w_0 P_n + S_n; the kernel then runs on the stacked
-    rows (z, 0) and (z, w).  on_step(n, z, w, P, S) runs after every step
-    and returns True to stop.  finite_only (with track_products, stride 1)
-    stops before a step whose kernel output is not finite.
-    Returns (z, w, n_used, sup_delta, P, S).
+    and at n_max; tol None runs all n_max steps.  on_step(n, z, w) runs
+    after every step and returns True to stop.  Escaped seeds ride along
+    as non-finite data.  Returns (z, w, n_used, sup_delta).
     """
     z = np.array(z, dtype=complex)
     w = np.array(w, dtype=complex)
-    P = np.ones_like(w)
-    S = np.zeros_like(w)
-    zz = np.empty((2,) + z.shape, dtype=complex)   # rows (z, 0) and (z, w)
-    ww = np.zeros_like(zz)
     n = 0
     since_check = 0
     sup_delta = math.inf
@@ -401,22 +398,10 @@ def _lockstep_iterate(m: AutoMap, z, w, tol: float | None, n_max: int, *,
         while n < n_max:
             z1, w1 = z, w
             for _ in range(stride):
-                if not track_products:
-                    z1, w1 = m.eval_batch(z1, w1)
-                    continue
-                zz[:] = z1
-                ww[1] = w1
-                zo, wo = m.eval_batch(zz, ww)
-                if finite_only and not (np.isfinite(zo).all() and np.isfinite(wo).all()):
-                    return z, w, n, sup_delta, P, S
-                s_j = wo[0]
-                mult = np.where(w1 != 0, (wo[1] - s_j) / np.where(w1 != 0, w1, 1.0), 1.0 + 0j)
-                P = P * mult
-                S = S * mult + s_j
-                z1, w1 = zo[1], wo[1]
+                z1, w1 = step(z1, w1)
             z_prev, w_prev, z, w = z, w, z1, w1
             n += stride
-            if on_step is not None and on_step(n, z, w, P, S):
+            if on_step is not None and on_step(n, z, w):
                 break
             since_check += 1
             if tol is not None and (since_check == check_every or n >= n_max):
@@ -425,13 +410,7 @@ def _lockstep_iterate(m: AutoMap, z, w, tol: float | None, n_max: int, *,
                 sup_delta = float(np.fmax.reduce(deltas, axis=None))
                 if sup_delta < tol:
                     break
-    return z, w, n, sup_delta, P, S
-
-
-def _identity_defect(w0, w, P, S) -> float:
-    """max |w_n - (w_0 P_n + S_n)| / max(1, |w_n|): the split's rounding drift."""
-    d = np.abs(w - (w0 * P + S)) / np.maximum(1.0, np.abs(w))
-    return float(np.fmax.reduce(d, axis=None))
+    return z, w, n, sup_delta
 
 
 def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
@@ -447,57 +426,58 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
     Rotation presets switch to subsequence mode: for a rational rotation
     number p/q the subsequence n = 0 mod q converges and is used; for an
     irrational one no limit map exists and the estimate reports modulus
-    convergence and argument equidistribution diagnostics instead.
+    convergence and argument equidistribution diagnostics instead.  An
+    escaped seed raises MapEscapeError naming its grid node and step.
     """
     fp = m.fastpath
     q = None
     if fp is not None and fp.kind == "rotation":
         q = fp.rotation_order()
         if q is None:
-            return _rotation_oscillation_estimate(m, grid, tol, n_max, tau1, tau2)
-    stride = q or 1
-    zhat, w = grid.seeds()
-    z, w, n_used, sup_delta, _, _ = _lockstep_iterate(
-        m, from_transformed(zhat).ravel(), w.ravel(), tol, n_max, stride=stride)
-    _raise_on_escape(m, grid, z, w, n_used, stride)
+            return _rotation_oscillation_estimate(m, grid, n_max, tau1, tau2)
+    zhat, w0 = grid.seeds()
+    z, w, n_used, sup_delta = _lockstep_iterate(
+        m.eval_batch, from_transformed(zhat).ravel(), w0.ravel(), tol, n_max, stride=q or 1)
+    _raise_on_escape(m, zhat, w0, _escaped(z, w), n_used, "grid seeds")
     shape = (grid.nz, grid.nw)
-    est = _finish_estimate(m, grid, z.reshape(shape), w.reshape(shape),
-                           n_used, sup_delta, tol, tau1, tau2, n_max)
+    est = _finish_estimate(grid, z.reshape(shape), w.reshape(shape),
+                           n_used, sup_delta, tol, tau1, tau2)
     est.rotation_order = q
     return est
 
 
-def _raise_on_escape(m, grid, z, w, n_used, stride=1):
-    """Raise MapEscapeError naming the grid nodes whose orbits escaped.
-
-    z, w are the lockstep end points; the escaped seeds alone are run again
-    to find the step at which each escaped.
-    """
-    idx = np.flatnonzero(_escaped(z, w))
+def _raise_on_escape(m, zhat, w0, escaped, n_used, label, z0=None):
+    """The one escape rule: raise MapEscapeError naming the seeds flagged in
+    escaped after n_used steps, each with the step at which it escaped (found
+    by running them alone again).  zhat, w0 are the seeds (a 2-D grid names
+    nodes (i, j)), z0 the original-chart start (default -1/zhat)."""
+    idx = np.flatnonzero(escaped)
     if idx.size == 0:
         return
-    zhat, w0 = (a.ravel()[idx] for a in grid.seeds())
+    zh = np.ravel(zhat)[idx]
+    w0 = np.asarray(w0, dtype=complex).ravel()[idx]
+    z0 = from_transformed(zh) if z0 is None else np.ravel(z0)[idx]
     steps = np.zeros(idx.size, dtype=int)
 
-    def on_step(n, z, w, P, S):
+    def on_step(n, z, w):
         steps[(steps == 0) & _escaped(z, w)] = n
         return steps.all()
 
-    _lockstep_iterate(m, from_transformed(zhat), w0, None, n_used, stride=stride,
-                      on_step=on_step)
+    _lockstep_iterate(m.eval_batch, z0, w0, None, n_used, on_step=on_step)
     steps[steps == 0] = n_used
-    named = ", ".join(
-        f"node {divmod(int(i), grid.nw)} (zhat, w) = ({zh}, {ww}) at step {n}"
-        for i, zh, ww, n in list(zip(idx, zhat, w0, steps))[:4])
+    node = ((lambda i: f"node {divmod(int(i), np.shape(zhat)[1])}")
+            if np.ndim(zhat) == 2 else (lambda i: f"seed {int(i)}"))
+    named = ", ".join(f"{node(i)} (zhat, w) = ({a}, {b}) at step {n}"
+                      for i, a, b, n in list(zip(idx, zh, w0, steps))[:4])
     raise MapEscapeError(
-        (complex(zhat[0]), complex(w0[0])),
-        f"{idx.size} of {grid.nz * grid.nw} grid seeds escaped (not finite or "
+        (complex(zh[0]), complex(w0[0])),
+        f"{idx.size} of {np.size(escaped)} {label} escaped (not finite or "
         f"beyond {ESCAPE_RADIUS:g}) within {n_used} steps: {named}"
         + (", ..." if idx.size > 4 else ""))
 
 
-def _finish_estimate(m, grid, limz, limw, n_used, sup_delta, tol, tau1, tau2,
-                     n_max) -> LimitMapEstimate:
+def _finish_estimate(grid, limz, limw, n_used, sup_delta, tol, tau1,
+                     tau2) -> LimitMapEstimate:
     converged = np.full(limz.shape, sup_delta < tol)
     s1 = s2 = None
     rank = None
@@ -527,22 +507,23 @@ def _finish_estimate(m, grid, limz, limw, n_used, sup_delta, tol, tau1, tau2,
                             "converged" if sup_delta < tol else "max_iterations")
 
 
-def _rotation_oscillation_estimate(m, grid, tol, n_max, tau1, tau2):
+def _rotation_oscillation_estimate(m, grid, n_max, tau1, tau2):
     """Irrational rotation: the full sequence does not converge; report the
     modulus limit and argument statistics over a tail window."""
-    zhat, w = grid.seeds()
+    zhat, w0 = grid.seeds()
     burn = max(0, n_max - 2000)
     window = min(2000, n_max - burn) or 1
-    mods = np.empty((window, w.size))
-    args = np.empty((window, w.size))
+    mods = np.empty((window, w0.size))
+    args = np.empty((window, w0.size))
 
-    def on_step(n, z, w, P, S):
+    def on_step(n, z, w):
         if n > burn:
             mods[n - burn - 1] = np.abs(w)
             args[n - burn - 1] = np.angle(w)
 
-    z, w, _, _, _, _ = _lockstep_iterate(
-        m, from_transformed(zhat).ravel(), w.ravel(), None, burn + window, on_step=on_step)
+    z, w, n_used, _ = _lockstep_iterate(m.eval_batch, from_transformed(zhat).ravel(),
+                                        w0.ravel(), None, burn + window, on_step=on_step)
+    _raise_on_escape(m, zhat, w0, _escaped(z, w), n_used, "grid seeds")
     tail_var = float(np.max(mods.max(axis=0) - mods.min(axis=0)))
     bins = np.floor((args + np.pi) / (2 * np.pi) * 1000).astype(int) % 1000
     distinct = min(len(np.unique(bins[:, j])) for j in range(w.size))
@@ -574,31 +555,15 @@ def track_product_sum(m: AutoMap, seed_transformed, n_max: int,
                       record_every: int | None = None) -> ProductSumTrack:
     """Split w_n = w_0 P_n + S_n along one orbit and track both limits.
 
-    P multiplies the per-step homogeneous multiplier (the difference
-    quotient against the w = 0 fiber), S accumulates the rest; the split is
-    exact by construction and the tracked identity defect is the rounding
-    drift between the two recurrences.  Both partial sequences must be
+    The one-seed view of track_product_sum_batch, run for all n_max steps,
+    plus the partials (n, P_n, S_n) every record_every steps, which must be
     Cauchy (dyadic tails decreasing) or a diagnostic error is raised.
     """
     zh, w0 = complex(seed_transformed[0]), complex(seed_transformed[1])
     record_every = record_every or max(1, n_max // 64)
-    partials = []
-    w0_row = np.array([w0])
-    defect = 0.0
-
-    def on_step(n, z, w, P, S):
-        nonlocal defect
-        if not (cmath.isfinite(P[0]) and cmath.isfinite(S[0])):
-            raise MapEscapeError(
-                (zh, w0), f"product/sum partials are not finite at step {n}: the "
-                f"orbit of the seed (zhat, w) = ({zh}, {w0}) escaped")
-        defect = max(defect, _identity_defect(w0_row, w, P, S))
-        if n % record_every == 0 or n == n_max:
-            partials.append((n, complex(P[0]), complex(S[0])))
-
-    _, _, n, _, P, S = _lockstep_iterate(
-        m, from_transformed(np.array([zh])), w0_row, None, n_max,
-        track_products=True, on_step=on_step)
+    P, S, defect, n, partials = _product_sum_run(m, [zh], [w0], n_max, None,
+                                                 record_every)
+    partials = [(k, complex(p[0]), complex(s[0])) for k, p, s in partials]
     cauchy_ok = _dyadic_cauchy([p for _, p, _ in partials]) and _dyadic_cauchy(
         [s for _, _, s in partials]
     )
@@ -612,18 +577,49 @@ def track_product_sum(m: AutoMap, seed_transformed, n_max: int,
 
 
 def track_product_sum_batch(m: AutoMap, zhat, w, n_max: int, tol: float = 0.0):
-    """Vectorized product/sum split; returns (P, S, identity_defect, n_used)."""
-    z = from_transformed(np.asarray(zhat, dtype=complex))
+    """Split each step as w' = mult w + s, s = pi_2(F(z, 0)), into P = prod mult
+    and S, so that w_n = w_0 P_n + S_n; returns (P, S, identity_defect, n_used),
+    the defect being the rounding drift between the two recurrences.  tol as
+    in estimate_limit_map (0 runs all n_max steps); an escaped orbit, P or S
+    raises MapEscapeError."""
+    return _product_sum_run(m, zhat, w, n_max, tol, None)[:4]
+
+
+def _product_sum_run(m, zhat, w, n_max, tol, record_every):
+    """The product/sum runner: one kernel call per step on the stacked rows
+    (z, 0) and (z, w); partials (n, P_n, S_n) every record_every steps."""
+    zhat = np.ravel(np.asarray(zhat, dtype=complex))
     w0 = np.array(np.ravel(w), dtype=complex)
+    P = np.ones_like(w0)
+    S = np.zeros_like(w0)
+    zz = np.empty((2,) + w0.shape, dtype=complex)   # rows (z, 0) and (z, w)
+    ww = np.zeros_like(zz)
     defect = 0.0
+    partials = []
 
-    def on_step(n, z, w, P, S):
+    def step(z, w):
+        nonlocal P, S
+        zz[:] = z
+        ww[1] = w
+        zo, wo = m.eval_batch(zz, ww)
+        s = wo[0]
+        mult = np.where(w != 0, (wo[1] - s) / np.where(w != 0, w, 1.0), 1.0 + 0j)
+        P = P * mult
+        S = S * mult + s
+        return zo[1], wo[1]
+
+    def on_step(n, z, w):
         nonlocal defect
-        defect = max(defect, _identity_defect(w0, w, P, S))
+        d = np.abs(w - (w0 * P + S)) / np.maximum(1.0, np.abs(w))  # rounding drift
+        defect = max(defect, float(np.fmax.reduce(d, axis=None)))
+        if record_every and (n % record_every == 0 or n == n_max):
+            partials.append((n, P, S))
 
-    z, w, n_used, _, P, S = _lockstep_iterate(
-        m, z.ravel(), w0, tol, n_max, track_products=True, on_step=on_step)
-    return P, S, defect, n_used
+    z, w, n_used, _ = _lockstep_iterate(step, from_transformed(zhat), w0, tol, n_max,
+                                        on_step=on_step)
+    escaped = _escaped(z, w) | ~(np.isfinite(P) & np.isfinite(S))
+    _raise_on_escape(m, zhat, w0, escaped, n_used, "product/sum seeds")
+    return P, S, defect, n_used, partials
 
 
 def _dyadic_cauchy(values) -> bool:
@@ -658,15 +654,16 @@ def waxis_coverage(m: AutoMap, R: float, z0: complex, ring_samples: int = 256,
 
     Precondition: sup over the circle |w| = 2R of |pi_2(h(z0, w)) - w| must
     be below R (h close to the identity in w); otherwise the caller is told
-    to shrink |z0|.
+    to shrink |z0|.  An escaped ring seed raises MapEscapeError.
     """
     if R <= 0:
         raise ValueError("R must be > 0")
     phis = 2 * np.pi * np.arange(ring_samples) / ring_samples
     w_circle = 2 * R * np.exp(1j * phis)
-    z = np.full(ring_samples, complex(z0))
-    z, w_img, n_used, sup_delta, _, _ = _lockstep_iterate(
-        m, z, w_circle.copy(), tol, n_max)
+    z_ring = np.full(ring_samples, complex(z0))
+    z, w_img, n_used, _ = _lockstep_iterate(m.eval_batch, z_ring, w_circle, tol, n_max)
+    _raise_on_escape(m, to_transformed(z_ring), w_circle, _escaped(z, w_img), n_used,
+                     "coverage ring seeds", z_ring)
     pre = float(np.max(np.abs(w_img - w_circle)))
     if not pre < R:
         raise ValueError(
@@ -711,7 +708,7 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
     parameter.  Crossings of the sphere of radius eps around q_target are
     bisected in the segment parameter to bisect_tol.  invariance_defect is
     the largest distance from the generator-pipeline image of a row to the
-    next row.
+    next row.  A curve point that escapes raises MapEscapeError.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -725,13 +722,13 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
     poly_z[0] = z0 + t * (f_p[0] - z0)
     poly_w[0] = w0 + t * (f_p[1] - w0)
 
-    def on_step(n, z, w, P, S):
-        if not (np.isfinite(z).all() and np.isfinite(w).all()):
-            raise MapEscapeError((None, None), f"curve escaped at iterate {n}")
+    def on_step(n, z, w):
         poly_z[n] = z
         poly_w[n] = w
 
-    _lockstep_iterate(m, poly_z[0], poly_w[0], None, n_max, on_step=on_step)
+    _lockstep_iterate(m.eval_batch, poly_z[0], poly_w[0], None, n_max, on_step=on_step)
+    _raise_on_escape(m, to_transformed(poly_z[0]), poly_w[0],
+                     _escaped(poly_z[-1], poly_w[-1]), n_max, "curve points", poly_z[0])
     qz, qw = complex(q_target[0]), complex(q_target[1])
 
     def radius(zv, wv):
@@ -741,7 +738,7 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
         # F^n of the seed-segment point at parameter tt
         zz = z0 + tt * (f_p[0] - z0)
         ww = w0 + tt * (f_p[1] - w0)
-        return _lockstep_iterate(m, [zz], [ww], None, n)[:2]
+        return _lockstep_iterate(m.eval_batch, [zz], [ww], None, n)[:2]
 
     g = radius(poly_z, poly_w) - eps
     hits = []
@@ -782,7 +779,8 @@ def check_equivariance(m: AutoMap, estimate: LimitMapEstimate, *,
 
     h(F(p)) is re-estimated by iterating from F(p) with the same stopping
     rule; F(h(p)) applies the map to the stored limits.  Rotation estimates
-    reuse their subsequence stride.
+    reuse their subsequence stride.  An orbit that escapes raises
+    MapEscapeError naming its grid node and the step counted from p.
     """
     if estimate.stop_reason == "no_limit_full_sequence":
         raise ValueError(
@@ -796,7 +794,8 @@ def check_equivariance(m: AutoMap, estimate: LimitMapEstimate, *,
     z = np.asarray(from_transformed(zhat)).ravel()
     w = np.asarray(w, dtype=complex).ravel()
     fz, fw = m.eval_batch(z, w)
-    hz, hw, _, _, _, _ = _lockstep_iterate(m, fz, fw, tol, n_max, stride=stride)
+    hz, hw, n_used, _ = _lockstep_iterate(m.eval_batch, fz, fw, tol, n_max, stride=stride)
+    _raise_on_escape(m, zhat, w, _escaped(hz, hw), n_used + 1, "grid seeds")
     fhz, fhw = m.eval_batch(estimate.limits_z.ravel(), estimate.limits_w.ravel())
     defect = np.maximum(np.abs(hz - fhz), np.abs(hw - fhw))
     return float(np.max(defect))

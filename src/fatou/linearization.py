@@ -210,8 +210,8 @@ def _jet_max_norm(F_jet, min_degree: int = 2) -> float:
     return best
 
 
-def solve_psi(F_jet, lam: complex, D: int, *, precision: str = "auto",
-              residual_samples: int = 64) -> LinearizationResult:
+def solve_psi(F_jet, lam: complex, D: int, *,
+              precision: str = "auto") -> LinearizationResult:
     """Solve the conjugation equation to degree D.
 
     psi_n comes from the degree-n coefficients of N(psi), which involve
@@ -248,7 +248,7 @@ def solve_psi(F_jet, lam: complex, D: int, *, precision: str = "auto",
         b = math.inf
         rho = math.inf
     r_test = rho / 2 if math.isfinite(rho) else 1.0
-    res = residual(psi, F_jet, lam, r_test, residual_samples)
+    res = residual(psi, F_jet, lam, r_test)
     return LinearizationResult(
         lam, D, psi, divisors, M, sigma, res, r_test, rho, a_fit, b,
         "double-double" if mode == "dd" else "double", majorant_ok, basis,
@@ -544,8 +544,7 @@ class SweepResult:
     failures: dict
 
 
-def parameter_sweep(F_family, theta0, r_values, D: int, *,
-                    fd_smoothness: bool = True) -> SweepResult:
+def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
     """Solve the family over r, differentiate in r, and run the step-halving test.
 
     F_family maps lambda to a jet pair.  Each r must pass the off-circle sector
@@ -587,7 +586,7 @@ def parameter_sweep(F_family, theta0, r_values, D: int, *,
 
     smoothness_ok = True
     ratios = {}
-    if fd_smoothness and len(r_values) >= 2:
+    if len(r_values) >= 2:
         mid = r_values[len(r_values) // 2]
         if mid in results:
             h = (r_values[-1] - r_values[0]) / 4.0

@@ -292,11 +292,6 @@ def _fast_forward(fp: FastPath, z, w):
     return zu, w1
 
 
-def _fast_inverse_axis(fp: FastPath, w):
-    rot = cmath.exp(-1j * fp.theta) if fp.theta else 1.0
-    return 0.0 * w, w * rot
-
-
 # -- AutoMap ----------------------------------------------------------------
 
 
@@ -334,19 +329,18 @@ class AutoMap:
     def eval_inverse_batch(self, z, w):
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
-        if self.fastpath is not None:
-            axis = np.abs(z) < AXIS_THRESHOLD
-            with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                             divide="ignore"):
-                zi, wi = z, w
-                for em in reversed(self.pipeline):
-                    zi, wi = _apply_elem(_inverse_elem(em), zi, wi)
-                za, wa = _fast_inverse_axis(self.fastpath, w)
-                return np.where(axis, za, zi), np.where(axis, wa, wi)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        fp = self.fastpath
+        # a fast path's w-axis (z = 0) divides by zero and is masked below
+        with np.errstate(over="ignore", invalid="ignore", under="ignore",
+                         divide=None if fp is None else "ignore"):
+            zi, wi = z, w
             for em in reversed(self.pipeline):
-                z, w = _apply_elem(_inverse_elem(em), z, w)
-        return z, w
+                zi, wi = _apply_elem(_inverse_elem(em), zi, wi)
+            if fp is None:
+                return zi, wi
+            axis = np.abs(z) < AXIS_THRESHOLD
+            rot = cmath.exp(-1j * fp.theta) if fp.theta else 1.0
+            return np.where(axis, 0.0 * w, zi), np.where(axis, w * rot, wi)
 
     def eval_inverse(self, z: complex, w: complex) -> tuple:
         z1, w1 = self.eval_inverse_batch(np.array([z]), np.array([w]))

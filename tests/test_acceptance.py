@@ -107,8 +107,8 @@ def crit1():
     t_short = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    z6, w6, n_used, sup_delta, _, _ = _lockstep_iterate(
-        H, np.asarray(from_transformed(zhat0)), w0.copy(), 1e-12, 10**6)
+    z6, w6, n_used, sup_delta = _lockstep_iterate(
+        H.eval_batch, np.asarray(from_transformed(zhat0)), w0.copy(), 1e-12, 10**6)
     t_long = time.perf_counter() - t0
 
     return {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -93,9 +94,12 @@ def test_orbit_escape_is_data():
 
 
 def test_product_sum_identity_along_orbit():
+    # w_0 P + S from the products path meets the plain orbit's final w
     rec = iterate(H0, (20.0, 2.0), 500, transformed=True, stop_tol=None)
+    P, S, _, n = track_product_sum_batch(H0, [20.0], [2.0], 500)
     final = rec.steps[-1]
-    recon = rec.seed[1] * rec.product_acc + rec.sum_acc
+    assert n == final.n == 500
+    recon = 2.0 * P[0] + S[0]
     assert abs(final.w - recon) < 1e-12 * max(1.0, abs(final.w))
 
 
@@ -214,9 +218,9 @@ def test_track_product_sum_batch_matches_scalar():
     P, S, defect, _ = track_product_sum_batch(H1, np.array([55.0 + 0j]),
                                               np.array([0.5 + 0j]), 2000)
     trk = track_product_sum(H1, (55.0, 0.5), 2000)
-    assert abs(P[0] - trk.P) < 1e-12
-    assert abs(S[0] - trk.S) < 1e-12
-    assert defect < 1e-12
+    # the scalar function is a one-seed view of the batch one
+    assert np.array_equal(P, [trk.P]) and np.array_equal(S, [trk.S])
+    assert defect == trk.identity_defect < 1e-12
 
 
 # -- coverage -------------------------------------------------------------------
@@ -336,6 +340,7 @@ def test_escaping_seeds_leave_no_warning_and_errstate_unchanged():
     zh = to_transformed(esc_z)
     grid = Grid2D(complex(zh[0]), 600 + 0j, 2, 2, 1e-3)
     calls = [
+        lambda: estimate_limit_map(rotation_map(2 * math.pi * GOLD), grid, n_max=200),
         lambda: H0.eval_batch(esc_z, esc_w),
         lambda: iterate(H0, (0.9, 600.0), 50),
         lambda: check_growth_bounds(H0, zh, esc_w, 50),
@@ -383,5 +388,40 @@ def test_limit_map_escape_names_seeds_and_step():
 
 
 def test_product_sum_escape_names_step():
-    with pytest.raises(ArithmeticError, match="not finite at step 1"):
+    with pytest.raises(MapEscapeError, match=r"1 of 1 product/sum seeds escaped.*"
+                       r"seed 0 \(zhat, w\) = \(\(-1\.11+\d*\+0j\), \(600\+0j\)\) at step 1$"):
         track_product_sum(H0, (-1 / 0.9, 600), 50)
+
+
+# a grid and a seed (zhat, w) whose orbits overflow at step 1; the curve's
+# seed segment runs from p to F(p), and the points near F(p) overflow at step 1
+ESC_GRID = Grid2D(-1 / 0.9, 600, 2, 2, 1e-3)
+ESC_ZHAT = [-1 / 0.9 + 0j]
+
+
+def _escaping_estimate():
+    # an estimate whose grid is swapped for one that escapes at step 1
+    est = estimate_limit_map(H0, Grid2D(6.0 + 0j, 0.4 + 0j, 2, 2, 1e-3), n_max=10)
+    return dataclasses.replace(est, grid=ESC_GRID)
+
+
+ESCAPING_CALLS = {
+    "estimate_limit_map": lambda: estimate_limit_map(H0, ESC_GRID, n_max=200),
+    "estimate_limit_map_rotation": lambda: estimate_limit_map(
+        rotation_map(2 * math.pi * GOLD), ESC_GRID, n_max=200),
+    "track_product_sum": lambda: track_product_sum(H0, (ESC_ZHAT[0], 600), 50),
+    "track_product_sum_batch": lambda: track_product_sum_batch(H0, ESC_ZHAT, [600], 50),
+    "check_growth_bounds": lambda: check_growth_bounds(H0, ESC_ZHAT, [600], 50),
+    "check_equivariance": lambda: check_equivariance(H0, _escaping_estimate(), n_max=50),
+    "waxis_coverage": lambda: waxis_coverage(H0, 600.0, 0.9, ring_samples=16, n_max=100),
+    "invariant_curve": lambda: invariant_curve(H0, (0.9, 1.0), (0, 0), 4, 50, 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPING_CALLS))
+def test_escape_raises_naming_seed_and_step(name):
+    # one escape rule: every result that would hold NaN raises instead
+    with pytest.raises(MapEscapeError, match=r"escaped \(not finite or beyond 1e\+100\) "
+                       r"within \d+ steps: (seed \d+|node \(\d+, \d+\)) \(zhat, w\) = "
+                       r"\(.+\) at step 1(,|$)"):
+        ESCAPING_CALLS[name]()
