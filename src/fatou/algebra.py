@@ -381,12 +381,6 @@ class Series1C2:
     def zero(cls, order: int) -> "Series1C2":
         return cls(order, np.zeros((order + 1, 2), dtype=np.complex128), _validate=False)
 
-    def component(self, i: int) -> np.ndarray:
-        return self.coeffs[:, i]
-
-    def copy(self) -> "Series1C2":
-        return Series1C2(self.order, self.coeffs.copy(), _validate=False)
-
     def norms(self) -> np.ndarray:
         """max(|first|, |second|) per coefficient (the max-norm on C^2)."""
         return np.max(np.abs(self.coeffs), axis=1)

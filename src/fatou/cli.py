@@ -326,9 +326,7 @@ def cmd_limit(args) -> int:
         "oscillation": est.oscillation,
     }
     if est.numerical_rank is not None and est.stop_reason != "no_limit_full_sequence":
-        payload["equivariance_defect"] = check_equivariance(
-            m, est, tol=float(args.tol) if args.tol is not None else 1e-12,
-            n_max=2 * (int(args.n_max or 10**6)))
+        payload["equivariance_defect"] = check_equivariance(m, est)
     write_json(args, payload)
     return 0
 

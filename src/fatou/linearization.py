@@ -518,9 +518,9 @@ class BoundCheck:
     ok: bool
 
 
-def exponential_bound_check(result: LinearizationResult, split: MajorantSplit,
-                            tolerance: float = 0.10) -> BoundCheck:
-    """Fit ||psi_n|| <= C rate^n and compare rate against a*b*M."""
+def exponential_bound_check(result: LinearizationResult,
+                            split: MajorantSplit) -> BoundCheck:
+    """Fit ||psi_n|| <= C rate^n and check rate <= 1.1 a*b*M (10% slack)."""
     norms = result.psi_norms().astype(float)
     rate = _fit_growth(norms)
     nz = [n for n in range(2, len(norms)) if norms[n] > 0]
@@ -528,7 +528,7 @@ def exponential_bound_check(result: LinearizationResult, split: MajorantSplit,
         return BoundCheck(0.0, 0.0, split.a * split.b * split.M, True)
     C = max(norms[n] / rate**n for n in nz) if rate > 0 else 0.0
     bound = split.a * split.b * split.M
-    return BoundCheck(C, rate, bound, bool(rate <= bound * (1 + tolerance)))
+    return BoundCheck(C, rate, bound, bool(rate <= bound * 1.1))
 
 
 # -- parameter sweep -----------------------------------------------------------

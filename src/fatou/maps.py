@@ -349,9 +349,6 @@ class AutoMap:
             raise MapEscapeError((z, w))
         return out
 
-    def __call__(self, z: complex, w: complex) -> tuple:
-        return self.eval(z, w)
-
     # -- jets -----------------------------------------------------------
 
     def jet(self, order: int, at=None) -> tuple:
@@ -554,13 +551,14 @@ class FixedPointClass(Enum):
     NEUTRAL = "neutral"
 
 
-def jacobian(m, q, *, fd_step: float | None = None) -> np.ndarray:
+def jacobian(m, q) -> np.ndarray:
     """2x2 complex Jacobian of m at q.
 
     For AutoMap values the jet at the translated point is used when the
     pipeline allows it (exact up to rounding); central finite differences in
-    each coordinate are the fallback.  Holomorphy makes the real-direction
-    difference equal the complex derivative.
+    each coordinate, with step 1e-6 * max(1, |q1|, |q2|), are the fallback.
+    Holomorphy makes the real-direction difference equal the complex
+    derivative.
     """
     q1, q2 = complex(q[0]), complex(q[1])
     if isinstance(m, AutoMap):
@@ -576,7 +574,7 @@ def jacobian(m, q, *, fd_step: float | None = None) -> np.ndarray:
         fn = m.eval
     else:
         fn = m
-    h = fd_step if fd_step is not None else 1e-6 * max(1.0, abs(q1), abs(q2))
+    h = 1e-6 * max(1.0, abs(q1), abs(q2))
     J = np.zeros((2, 2), dtype=complex)
     for j, (dz, dw) in enumerate(((h, 0.0), (0.0, h))):
         fp = fn(q1 + dz, q2 + dw)

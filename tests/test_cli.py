@@ -227,6 +227,17 @@ def test_limit_command_small(tmp_path):
     assert d["equivariance_defect"] < 1e-5
 
 
+def test_limit_equivariance_defect_is_read_off_the_limits(tmp_path):
+    # the defect ||F(h) - h|| on the stored limits is one more step of the
+    # orbit: about sup_step_delta, and not 0 while the orbit still moves
+    code, text = run(tmp_path, "limit", "--map", "rank1", "--grid", "3x3",
+                     "--grid-origin", "50,0.5", "--tol", "1e-8")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["stop_reason"] == "converged"
+    assert 0 < d["equivariance_defect"] <= 2 * d["sup_step_delta"]
+
+
 def test_curve_command(tmp_path):
     code, text = run(tmp_path, "curve", "--map", "rank0", "--seed-transformed",
                      "60,0", "--n-max", "300", "--eps", "1e-2")

@@ -1,0 +1,54 @@
+"""The benchmark's tracer finds every function it wraps on the installed fatou.
+
+perfbench/tracing.py patches fatou functions by name for `run.py --trace 1`;
+a rename or deletion under src/ would break that run, so it fails here.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+def test_traced_modules_import(tracing):
+    for name in tracing.MODULES:
+        importlib.import_module(f"fatou.{name}")
+
+
+def test_traced_targets_resolve(tracing):
+    missing = []
+    for mod, attr, _, _ in tracing.TARGETS:
+        module = importlib.import_module(f"fatou.{mod}")
+        if attr.startswith("AutoMap."):
+            found = attr.split(".", 1)[1] in vars(module.AutoMap)
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(f"fatou.{mod}.{attr}")
+    assert not missing, f"traced but not found: {missing}"
+
+
+def test_tracer_installs_and_restores(tracing):
+    for name in tracing.MODULES:
+        importlib.import_module(f"fatou.{name}")
+    dyn = sys.modules["fatou.dynamics"]
+    orig = dyn.estimate_limit_map
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert dyn.estimate_limit_map is not orig
+    finally:
+        tracer.uninstall()
+    assert dyn.estimate_limit_map is orig
