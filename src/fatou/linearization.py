@@ -61,7 +61,6 @@ __all__ = [
     "residual",
     "majorant_sigma",
     "majorant_split",
-    "delta_bruteforce",
     "eta_radius",
     "exponential_bound_check",
     "BoundCheck",
@@ -370,36 +369,6 @@ def _delta_sequence(eps_min: np.ndarray, D: int) -> np.ndarray:
         delta[k] = best / eps_min[k]
         m[k] = max(delta[k], best)
     return delta
-
-
-def delta_bruteforce(eps_min, k: int) -> float:
-    """Literal max over all compositions, for oracle validation (small k)."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def delta(n: int) -> float:
-        if n == 1:
-            return 1.0
-        best = 0.0
-        for comp in _compositions(n):
-            if len(comp) < 2:
-                continue
-            prod = 1.0
-            for part in comp:
-                prod *= delta(part)
-            best = max(best, prod)
-        return best / eps_min[n]
-
-    return delta(k)
-
-
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
 
 
 @dataclass

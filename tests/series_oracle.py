@@ -9,11 +9,15 @@ agree within 1e-13 relative.  ``solve_recursion`` is the psi recursion
 that pads the jet to order n and recomposes it against psi at every degree
 n, about D^5 work; ``fatou.linearization`` extends a table of powers of psi
 by one dot product per entry and degree, whose summation order differs,
-and must agree within 1e-13 relative.  Kept here as the references that
-tests compare against.
+and must agree within 1e-13 relative.  ``delta_bruteforce`` is the literal
+max over all compositions that ``fatou.linearization._delta_sequence``
+replaces with a pairwise dynamic program; the two must agree within
+1e-12 relative for k <= 12.  Kept here as the references that tests
+compare against.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,3 +87,34 @@ def solve_recursion(N_pair, divisors, D):
         psi.coeffs[n, 0] = rhs.coeffs[n, 0] / divisors.eps1[n]
         psi.coeffs[n, 1] = rhs.coeffs[n, 1] / divisors.eps2[n]
     return psi
+
+
+def compositions(n):
+    """Every ordered tuple of positive integers summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def delta_bruteforce(eps_min, k):
+    """delta_1 = 1, delta_n = max over compositions of n into >= 2 parts of
+    the product of delta over the parts, divided by eps_min[n]."""
+
+    @lru_cache(maxsize=None)
+    def delta(n):
+        if n == 1:
+            return 1.0
+        best = 0.0
+        for comp in compositions(n):
+            if len(comp) < 2:
+                continue
+            prod = 1.0
+            for part in comp:
+                prod *= delta(part)
+            best = max(best, prod)
+        return best / eps_min[n]
+
+    return delta(k)

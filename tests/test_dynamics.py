@@ -162,6 +162,17 @@ def test_rank1_limit_estimate():
     assert len(np.unique(np.round(est.limits_w, 9))) > 20
 
 
+@pytest.mark.parametrize("m", [H0, rotation_map(2 * math.pi * GOLD),
+                               rotation_map(2 * math.pi / 3, theta_frac=Fraction(1, 3))],
+                         ids=["rank0", "golden", "rotation_1_3"])
+def test_limit_map_needs_a_step(m):
+    # the golden path used to run one step for n_max = 0 and report it used
+    grid = Grid2D(50.0 + 0j, 0.5 + 0j, 3, 3, 1e-3)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            estimate_limit_map(m, grid, n_max=n_max)
+
+
 def test_equivariance_defects():
     grid0 = Grid2D(6.0 + 0j, 0.4 + 0j, 3, 3, 1e-3)
     est0 = estimate_limit_map(H0, grid0, tol=1e-10, n_max=10**5)
@@ -228,6 +239,26 @@ def test_track_product_sum_batch_matches_scalar():
     # the scalar function is a one-seed view of the batch one
     assert np.array_equal(P, [trk.P]) and np.array_equal(S, [trk.S])
     assert defect == trk.identity_defect < 1e-12
+
+
+def test_product_sum_defect_is_the_max_over_every_step():
+    # the drift |w_n - (w_0 P_n + S_n)| / max(1, |w_n|) along a per-step
+    # trail of the split, run here apart from the engine; its max here falls
+    # between the 64-step convergence checks, at step 233
+    zhat, w0 = Grid2D(50.0 + 0j, 0.5 + 0j, 3, 3, 1e-3).seeds()
+    z, w = from_transformed(zhat.ravel()), w0.ravel()
+    P, S = np.ones_like(w), np.zeros_like(w)
+    trail = []
+    with np.errstate(all="ignore"):
+        for _ in range(300):
+            zo, wo = H1.eval_batch(np.stack([z, z]), np.stack([0 * w, w]))
+            mult = np.where(w != 0, (wo[1] - wo[0]) / np.where(w != 0, w, 1.0), 1.0 + 0j)
+            P, S = P * mult, S * mult + wo[0]
+            z, w = zo[1], wo[1]
+            trail.append(np.max(np.abs(w - (w0.ravel() * P + S)) / np.maximum(1.0, np.abs(w))))
+    defect = track_product_sum_batch(H1, zhat, w0, 300)[2]
+    assert defect == max(trail) == trail[232]
+    assert max(trail[63::64] + trail[-1:]) < defect
 
 
 # -- coverage -------------------------------------------------------------------

@@ -1,0 +1,290 @@
+"""The block-wise orbit engine against the per-step engine of engine_oracle.
+
+Every comparison asks for equal bits: the block engine runs the same steps
+with the same float operations, and its hooks read the same states, only
+a block of rows at a time.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import engine_oracle as oracle
+from fatou import dynamics as dyn
+from fatou.dynamics import Grid2D, RegionUNM
+from fatou.maps import MapEscapeError, rank0_map, rank1_map, rotation_map
+
+H0 = rank0_map(2)
+H1 = rank1_map()
+GOLD = 0.6180339887498949
+ROT3 = rotation_map(2 * math.pi / 3, theta_frac=Fraction(1, 3))
+ESCAPE_STEPS = [1, 63, 64, 65, 127]
+
+
+class ScaleMap:
+    """(z, w) -> (10 z, w + z): the seed z = 5e(100 - s) leaves the escape
+    radius 1e100 at step s, and z = 1e-300 stays inside for 399 steps."""
+
+    fastpath = None
+
+    def eval_batch(self, z, w):
+        z = np.asarray(z, dtype=complex)
+        return z * 10.0, np.asarray(w, dtype=complex) + z
+
+    def eval(self, z, w):
+        z1, w1 = self.eval_batch([z], [w])
+        return complex(z1[0]), complex(w1[0])
+
+
+class NaNMap:
+    """(z, w) -> (z + 1, w), with w NaN once z reaches 0: the seed z = -s
+    stays finite and small for s - 1 steps and turns non-finite at step s."""
+
+    fastpath = None
+
+    def eval_batch(self, z, w):
+        z1 = np.asarray(z, dtype=complex) + 1.0
+        return z1, np.where(z1 == 0, np.nan, np.asarray(w, dtype=complex))
+
+
+class HalfMap:
+    """(z, w) -> (z/2, w/2): from z = 2^k the step delta is 2^(k-n) at step
+    n, first below 1e-12 at n = k + 40."""
+
+    fastpath = None
+
+    def eval_batch(self, z, w):
+        return np.asarray(z, dtype=complex) / 2, np.asarray(w, dtype=complex) / 2
+
+
+def outcome(call):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (MapEscapeError, ValueError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def same(a, b):
+    """Equal bits, through tuples, lists, dicts and dataclass-like records."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and same(vars(a), vars(b))
+    if isinstance(a, (float, complex)):
+        return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+def escaping_seeds(s):
+    """Original-chart seeds leaving the radius at steps s, s + 1, s + 5, and
+    one that stays inside; the transformed chart for the entry points."""
+    z0 = np.array([5 * 10.0 ** (100 - s), 5 * 10.0 ** (99 - s), 5 * 10.0 ** (95 - s),
+                   1e-300], dtype=complex)
+    return dyn.to_transformed(z0), np.array([0.5, 1j, 2.0, 0.1], dtype=complex)
+
+
+def rank0_seeds(count=40):
+    rng = np.random.default_rng(11)
+    zhat = 6.0 + rng.uniform(0, 1, count) + 1j * rng.uniform(-0.5, 0.5, count)
+    w = 9.9 * np.sqrt(rng.uniform(0, 1, count)) * np.exp(2j * np.pi * rng.uniform(0, 1, count))
+    return zhat, w
+
+
+# -- the engine itself ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stride, n_max, tol", [
+    (1, 100, None), (1, 100, 1e-8), (1, 64, 0.0), (1, 130, 0.0),
+    (3, 100, None), (3, 200, 1e-10), (3, 64, 0.0),
+])
+def test_block_rows_are_the_per_step_states(stride, n_max, tol):
+    # row i of a block of k rows ending at n is the state after step
+    # n - (k-1-i)*stride; the run stops and reports as the per-step engine
+    m = ROT3 if stride == 3 else H1
+    zhat, w = Grid2D(50 + 0j, 0.5 + 0j, 3, 3, 1e-3).seeds()
+    z0 = dyn.from_transformed(zhat).ravel()
+    want = []
+    ref = oracle.lockstep_iterate(m.eval_batch, z0, w.ravel(), tol, n_max, stride=stride,
+                                  on_step=lambda n, z, w: want.append((n, z, w)) and False)
+    got = []
+
+    def on_block(n, zs, ws):
+        got.extend((n - (len(zs) - 1 - i) * stride, zs[i].copy(), ws[i].copy())
+                   for i in range(len(zs)))
+
+    out = dyn._lockstep_iterate(m.eval_batch, z0, w.ravel(), tol, n_max, stride=stride,
+                                on_block=on_block)
+    assert same(list(out), list(ref))
+    assert same(got, want)
+    hookless = dyn._lockstep_iterate(m.eval_batch, z0, w.ravel(), tol, n_max, stride=stride)
+    assert same(list(hookless), list(ref))
+
+
+@pytest.mark.parametrize("rows, block", [(1, 1), (24, 16), (64, 64)])
+def test_short_blocks_keep_the_checks(monkeypatch, rows, block):
+    # a batch too big for BLOCK_BYTES gets blocks that divide check_every,
+    # so the tol checks, n_used and sup_delta do not move
+    zhat, w = rank0_seeds()
+    monkeypatch.setattr(dyn, "BLOCK_BYTES", 32 * rows * zhat.size)
+    z0 = dyn.from_transformed(zhat)
+    sizes = []
+
+    def on_block(n, zs, ws):
+        sizes.append(len(zs))
+
+    for tol, n_max in ((1e-6, 5000), (0.0, 100)):
+        got = dyn._lockstep_iterate(H0.eval_batch, z0, w, tol, n_max, on_block=on_block)
+        want = oracle.lockstep_iterate(H0.eval_batch, z0, w, tol, n_max)
+        assert same(list(got), list(want))
+    assert max(sizes) == block
+    for n_steps in (100, 1000):
+        assert same(dyn.check_growth_bounds(H0, zhat, w, n_steps),
+                    oracle.check_growth_bounds(H0, zhat, w, n_steps))
+    region = RegionUNM(2.0, 3.0)
+    assert same(dyn.verify_forward_invariance(H0, region, 200, 500).violations,
+                oracle.forward_invariance_violations(H0, region, 200, 500))
+
+
+def test_limit_map_subsequence_stride_3():
+    # rotation 1/3 runs the engine at stride 3; n_max = 100 is not a multiple
+    # of 3 or of 64, so the last check lands past n_max
+    m = ROT3
+    grid = Grid2D(50 + 0j, 0.5 + 0j, 3, 3, 1e-3)
+    zhat, w = grid.seeds()
+    for tol, n_max in ((1e-10, 100), (1e-10, 20000), (0.0, 100)):
+        est = dyn.estimate_limit_map(m, grid, tol=tol, n_max=n_max)
+        z, w_lim, n_used, sup = oracle.lockstep_iterate(
+            m.eval_batch, dyn.from_transformed(zhat).ravel(), w.ravel(), tol, n_max, stride=3)
+        assert est.rotation_order == 3
+        assert (est.iterations_used, est.sup_step_delta) == (n_used, sup)
+        assert same(est.limits_z.ravel(), z) and same(est.limits_w.ravel(), w_lim)
+
+
+# -- the hooks --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 100])
+def test_growth_bounds_match(n_steps):
+    zhat, w = rank0_seeds()
+    for zh, ww in ((zhat, w), (0.5 * zhat, w)):   # clean, and with violations
+        assert same(outcome(lambda: dyn.check_growth_bounds(H0, zh, ww, n_steps)),
+                    outcome(lambda: oracle.check_growth_bounds(H0, zh, ww, n_steps)))
+
+
+@pytest.mark.parametrize("N, M, samples, n_steps, exits", [
+    (2.0, 3.0, 200, 500, 2),
+    (50.0, 1e-3, 200, 500, 200),    # every seed exits, so the run stops early
+    (0.5, 1000.0, 60, 130, 60),     # 43 of the exits are escapes to non-finite values
+])
+def test_forward_invariance_matches(N, M, samples, n_steps, exits):
+    region = RegionUNM(N, M)
+    got = dyn.verify_forward_invariance(H0, region, samples, n_steps).violations
+    want = oracle.forward_invariance_violations(H0, region, samples, n_steps)
+    assert len(want) == exits and same(got, want)
+
+
+def orbit_rows(record):
+    return record.steps, record.escaped, record.stop_reason, record.n_performed
+
+
+@pytest.mark.parametrize("m, seed, n_max, kw", [
+    (H0, (100, 1), 3000, dict(transformed=True, region=RegionUNM(6.0, 10.0))),
+    (H0, (0.5, 30), 100, dict(record_every=7)),
+    (H0, (0.9, 600), 50, {}),                        # escapes at step 1
+    (H0, (0, 5 + 1j), 100, {}),                      # on the axis: converged at step 1
+    (H1, (50, 0.5), 3000, dict(transformed=True, stop_tol=1e-6, record_every=13)),
+    (H1, (50, 0.5), 130, dict(transformed=True, stop_tol=None)),
+    (HalfMap(), (2.0 ** 60, 1), 500, {}),            # converged at step 100
+    (HalfMap(), (2.0 ** 60, 1), 100, dict(record_every=64)),
+    (H0, (1, 1), 0, {}),
+    (ScaleMap(), (5e99, 1), 10, dict(stop_tol=1e200)),   # escapes as it converges
+])
+def test_iterate_matches(m, seed, n_max, kw):
+    got = dyn.iterate(m, seed, n_max, **kw)
+    assert same(orbit_rows(got), orbit_rows(oracle.iterate(m, seed, n_max, **kw)))
+
+
+def test_iterate_converges_off_the_block_grid():
+    rec = dyn.iterate(HalfMap(), (2.0 ** 60, 1), 500)
+    assert (rec.stop_reason, rec.n_performed, rec.steps[-1].n) == ("converged", 100, 100)
+    # an escape wins a tie: step 1 leaves the radius with a delta below stop_tol
+    rec = dyn.iterate(ScaleMap(), (5e99, 1), 10, stop_tol=1e200)
+    assert (rec.stop_reason, rec.n_performed) == ("escaped", 1)
+
+
+@pytest.mark.parametrize("s", ESCAPE_STEPS)
+def test_iterate_escape_steps(s):
+    # beyond the radius: the escaping step is kept; not finite: the run
+    # stops before it (the tiny early steps of ScaleMap would read as converged)
+    seed = (5 * 10.0 ** (100 - s), 1)
+    far = dyn.iterate(ScaleMap(), seed, 200, stop_tol=None)
+    nan = dyn.iterate(NaNMap(), (-float(s), 1), 200)
+    assert (far.stop_reason, far.n_performed, nan.stop_reason, nan.n_performed) == (
+        "escaped", s, "escaped", s - 1)
+    assert same(orbit_rows(far),
+                orbit_rows(oracle.iterate(ScaleMap(), seed, 200, stop_tol=None)))
+    assert same(orbit_rows(nan), orbit_rows(oracle.iterate(NaNMap(), (-float(s), 1), 200)))
+
+
+@pytest.mark.parametrize("s", ESCAPE_STEPS)
+def test_escape_messages_match(s):
+    zhat, w = escaping_seeds(s)
+    grid = Grid2D(complex(zhat[0]), 0.5 + 0j, 2, 2, 1e-3 * abs(zhat[0]))
+    m = ScaleMap()
+    pairs = [
+        (lambda: dyn.check_growth_bounds(m, zhat, w, 200),
+         lambda: oracle.check_growth_bounds(m, zhat, w, 200)),
+        (lambda: dyn.track_product_sum_batch(m, zhat, w, 200),
+         lambda: oracle.product_sum_run(m, zhat, w, 200, 0.0, None)[:4]),
+        (lambda: dyn.estimate_limit_map(m, grid, tol=0.0, n_max=200).limits_w,
+         lambda: oracle.raise_on_escape(m, *grid.seeds(), np.ones((2, 2), bool), 200,
+                                        "grid seeds")),
+        (lambda: dyn.invariant_curve(m, (complex(5 * 10.0 ** (99 - s)), 1), (0, 0), 4,
+                                     200, 1e-2).polyline_z,
+         lambda: oracle.curve_polylines(m, (complex(5 * 10.0 ** (99 - s)), 1), 4, 200)[0]),
+    ]
+    for new, old in pairs:
+        got, want = outcome(new), outcome(old)
+        assert got[0] == "raised" and same(got, want)
+        assert f"at step {s}" in got[2]
+
+
+@pytest.mark.parametrize("n_max", [150, 2100])
+def test_rotation_oscillation_matches(n_max):
+    m = rotation_map(2 * math.pi * GOLD)
+    grid = Grid2D(50 + 0j, 0.5 + 0j, 3, 3, 1e-3)
+    est = dyn.estimate_limit_map(m, grid, n_max=n_max)
+    w, diag = oracle.rotation_oscillation(m, grid, n_max)
+    assert same(est.oscillation, diag)
+    assert same(est.limits_w.ravel(), w)
+
+
+def test_curve_polylines_match():
+    p = (-1 / 60 + 0j, 0j)
+    cur = dyn.invariant_curve(H0, p, (0, 0), 16, 700, 1e-2)
+    z, w = oracle.curve_polylines(H0, p, 16, 700)
+    assert same(cur.polyline_z, z) and same(cur.polyline_w, w)
+
+
+@pytest.mark.parametrize("tol, n_max", [(0.0, 100), (1e-9, 3000)])
+def test_product_sum_matches(tol, n_max):
+    zhat, w = Grid2D(50 + 0j, 0.5 + 0j, 6, 6, 1e-3).seeds()
+    got = dyn.track_product_sum_batch(H1, zhat, w, n_max, tol)
+    assert same(list(got), list(oracle.product_sum_run(H1, zhat, w, n_max, tol, None)[:4]))
+
+
+def test_product_sum_partials_match():
+    trk = dyn.track_product_sum(H1, (50, 0.5), 1000)
+    P, S, defect, n, partials = oracle.product_sum_run(H1, [50], [0.5], 1000, None, 15)
+    assert same((trk.P, trk.S, trk.identity_defect, trk.n_performed),
+                (complex(P[0]), complex(S[0]), defect, n))
+    assert same(trk.partials, [(k, complex(p[0]), complex(s[0])) for k, p, s in partials])

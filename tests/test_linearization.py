@@ -12,7 +12,6 @@ from fatou.linearization import (
     MajorantOverflowError,
     SmallDivisorError,
     compute_small_divisors,
-    delta_bruteforce,
     eta_radius,
     exponential_bound_check,
     linear_family,
@@ -249,15 +248,6 @@ def test_dd_psi_matches_mpmath_near_resonance():
 # -- majorants ------------------------------------------------------------------
 
 
-def enumerate_compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in enumerate_compositions(n - first):
-            yield (first,) + rest
-
-
 def test_sigma2_by_composition_enumeration():
     # independent enumeration: only nu = 2, (1,1) contributes at n = 2 with
     # weight nu + 1 = 3 and sigma_1^2 = 1, so sigma_2 = 3 M / eps_2
@@ -265,7 +255,7 @@ def test_sigma2_by_composition_enumeration():
     div = compute_small_divisors(LAM, 4)
     sigma = majorant_sigma(M, div, 4)
     total = 0.0
-    for comp in enumerate_compositions(2):
+    for comp in series_oracle.compositions(2):
         if len(comp) >= 2:
             total += (len(comp) + 1) * np.prod([sigma[k] for k in comp])
     want = M / div.eps_min[2] * total
@@ -280,7 +270,7 @@ def test_sigma_against_full_enumeration():
     sigma = majorant_sigma(M, div, 7)
     for n in range(2, 8):
         total = 0.0
-        for comp in enumerate_compositions(n):
+        for comp in series_oracle.compositions(n):
             if len(comp) >= 2:
                 total += (len(comp) + 1) * np.prod([sigma[k] for k in comp])
         assert abs(sigma[n] - M / div.eps_min[n] * total) < 1e-12 * max(1, sigma[n])
@@ -334,7 +324,7 @@ def test_delta_dp_equals_bruteforce():
     eps = div.eps_min
     dp = _delta_sequence(eps, 12)
     for k in range(2, 13):
-        bf = delta_bruteforce(tuple(eps), k)
+        bf = series_oracle.delta_bruteforce(tuple(eps), k)
         assert abs(dp[k] - bf) <= 1e-12 * bf, k
     # hand value at k = 3 for golden: eps_2 > 1 makes the all-ones
     # composition win over the binary bracketing

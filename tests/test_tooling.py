@@ -52,3 +52,21 @@ def test_tracer_installs_and_restores(tracing):
     finally:
         tracer.uninstall()
     assert dyn.estimate_limit_map is orig
+
+
+def test_limit_map_makes_one_kernel_call_per_step(tracing):
+    # the engine steps through AutoMap.eval_batch, so the traced per-layer
+    # kernel figures count every step: 100 steps, 100 leaf calls
+    for name in tracing.MODULES:
+        importlib.import_module(f"fatou.{name}")
+    dyn = sys.modules["fatou.dynamics"]
+    h1 = sys.modules["fatou.maps"].rank1_map()
+    grid = dyn.Grid2D(50.0 + 0j, 0.5 + 0j, 3, 3, 1e-3)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        est = dyn.estimate_limit_map(h1, grid, tol=0.0, n_max=100)
+    finally:
+        tracer.uninstall()
+    assert est.iterations_used == 100
+    assert tracer.round_metrics()["maps.eval_batch.calls"] == 100
