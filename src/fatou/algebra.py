@@ -84,6 +84,11 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise NonFiniteError(f"non-finite coefficient in {where}")
 
 
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython's complex product forms it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _mul1(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Product of univariate coefficient arrays, truncated at `order`."""
     full = np.convolve(a, b)
@@ -231,21 +236,36 @@ class Series2:
     # -- evaluation and substitution ------------------------------------
 
     def eval(self, z, w):
-        """Value of the truncated polynomial at the point (z, w)."""
-        zz = complex(z)
-        ww = complex(w)
-        zp = [1.0 + 0j]
-        wp = [1.0 + 0j]
+        """Value of the truncated polynomial at (z, w).
+
+        z and w may be arrays of points (broadcast against each other);
+        the result is then a complex128 array of their shape.  Scalars
+        give a complex, from a one-point array.  Real and imaginary parts
+        are carried apart, with products formed as CPython forms a complex
+        product (no fused multiply-add), so each point gets the bits of the
+        scalar loop: powers (1 + 0j) * z * ... * z, and the terms
+        coefficient * z^i * w^j summed from the highest degree down.
+        """
+        scalar = np.ndim(z) == 0 and np.ndim(w) == 0
+        zz, ww = np.broadcast_arrays(np.atleast_1d(np.asarray(z, dtype=np.complex128)),
+                                     np.atleast_1d(np.asarray(w, dtype=np.complex128)))
+        one, zero = np.ones(zz.shape), np.zeros(zz.shape)
+        zp = [(one, zero)]
+        wp = [(one, zero)]
         for _ in range(self.order):
-            zp.append(zp[-1] * zz)
-            wp.append(wp[-1] * ww)
+            zp.append(_cmul(*zp[-1], zz.real, zz.imag))
+            wp.append(_cmul(*wp[-1], ww.real, ww.imag))
         # high degrees first so the small tail terms accumulate before the bulk
-        total = 0j
+        tr, ti = zero, zero
         for d in range(self.order, -1, -1):
             lay = self.layer(d)
             for j in range(d + 1):
-                total = total + lay[j] * zp[d - j] * wp[j]
-        return complex(total)
+                ar, ai = _cmul(lay[j].real, lay[j].imag, *zp[d - j])
+                ar, ai = _cmul(ar, ai, *wp[j])
+                tr, ti = tr + ar, ti + ai
+        total = np.empty(zz.shape, dtype=np.complex128)
+        total.real, total.imag = tr, ti
+        return complex(total[0]) if scalar else total
 
     def compose_linear(self, a, b, c, d) -> "Series2":
         """Substitute z -> a*Z + b*W, w -> c*Z + d*W (degree-preserving)."""
@@ -390,12 +410,21 @@ class Series1C2:
 
 
 def series1_eval(psi: Series1C2, w) -> tuple:
-    """Horner evaluation; returns the C^2 value as a pair."""
-    ww = complex(w)
-    v = psi.coeffs[psi.order].copy()
+    """Horner evaluation; returns the C^2 value as a pair.
+
+    w may be an array of points: the pair is then two complex128 arrays of
+    w's shape.  A scalar w gives a pair of complex, from a one-point array.
+    Every point runs the same numpy complex operations in the same order,
+    so an array call equals the scalar calls bit for bit.
+    """
+    ww = np.asarray(w, dtype=np.complex128)[..., None]
+    v = psi.coeffs[psi.order]
     for k in range(psi.order - 1, -1, -1):
         v = v * ww + psi.coeffs[k]
-    return (complex(v[0]), complex(v[1]))
+    v = np.broadcast_to(v, ww.shape[:-1] + (2,))
+    if v.ndim == 1:
+        return (complex(v[0]), complex(v[1]))
+    return (v[..., 0].copy(), v[..., 1].copy())
 
 
 def _subst_bivariate(P: Series2, u: np.ndarray, v: np.ndarray, order: int) -> np.ndarray:

@@ -23,6 +23,12 @@ k = 10^12 in milliseconds.  They fall back to every k when N < 0, or when
 the expansion does not bound the gap far above rounding: theta outside
 (0, 1), or a float theta whose expansion stops at the 10^12 quotient cap
 before two denominators beyond k_max.
+
+The loops that do visit every k -- those fallbacks, check_siegel's
+complete violation list and the sector check -- take ||k theta|| from one
+generator: theta is reduced once, to integers a / den, and
+m_k = (m_{k-1} + a) mod den gives each k the exact reduction that
+dist_k_theta makes, in float64 blocks of fixed size.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+
+import numpy as np
 
 __all__ = [
     "QuadraticIrrational",
@@ -51,6 +60,7 @@ __all__ = [
 
 _RATIONAL_QUOTIENT_LIMIT = 10**12
 _SQRT_SCALE = 10**40  # integer scale for sqrt(d); error ~ k * 1e-40
+_K_BLOCK = 4096  # k per block of the loops over every k; about 150 bytes of temporaries per k
 
 
 @dataclass(frozen=True)
@@ -83,12 +93,16 @@ def _theta_value(theta) -> float:
     return float(theta)
 
 
+@lru_cache(maxsize=64)
+def _scaled_sqrt(d: int) -> int:
+    return isqrt(d * _SQRT_SCALE * _SQRT_SCALE)
+
+
 def _k_theta_num_den(theta, k: int):
     if k < 0:
         raise ValueError("k must be >= 0")
     if isinstance(theta, QuadraticIrrational):
-        s = isqrt(theta.d * _SQRT_SCALE * _SQRT_SCALE)
-        num = k * (theta.p * _SQRT_SCALE + s)
+        num = k * (theta.p * _SQRT_SCALE + _scaled_sqrt(theta.d))
         den = theta.q * _SQRT_SCALE
         if den < 0:
             num, den = -num, -den
@@ -117,7 +131,67 @@ def dist_k_theta(theta, k: int) -> float:
 
 def small_divisor_modulus(theta, k: int) -> float:
     """|e^{2 pi i k theta} - 1| = 2 sin(pi ||k theta||)."""
-    return 2.0 * math.sin(math.pi * dist_k_theta(theta, k))
+    return _modulus(dist_k_theta(theta, k))
+
+
+def _modulus(dist: float) -> float:
+    return 2.0 * math.sin(math.pi * dist)
+
+
+def _dist_blocks(theta, k_max: int):
+    """||k theta|| for k = 1..k_max, in blocks of at most _K_BLOCK k values.
+
+    Yields (ks, dist): ks a range of consecutive k, dist a float64 array
+    with dist[i] == dist_k_theta(theta, ks[i]) bit for bit.  theta is
+    reduced once, to the integers a / den of _k_theta_num_den at k = 1;
+    then m_k = k a mod den follows from m_k = (m_{k-1} + a) mod den, and
+    each block starts from one product k a mod den.  Memory stays O(block)
+    for any k_max.
+    """
+    a, den = _k_theta_num_den(theta, 1)
+    a %= den
+    wrap = den - a  # m + a reaches den exactly when m >= wrap
+    half = den // 2  # min(m, den - m) is m exactly when m <= half
+
+    def dists(m, n):
+        for _ in range(n):
+            if m >= wrap:
+                m -= wrap
+            else:
+                m += a
+            yield (m if m <= half else den - m) / den
+
+    for k0 in range(1, k_max + 1, _K_BLOCK):
+        ks = range(k0, min(k0 + _K_BLOCK, k_max + 1))
+        yield ks, np.fromiter(dists((k0 - 1) * a % den, len(ks)), float, len(ks))
+
+
+def _moduli(theta, k_max: int, ks=None):
+    """(k, small_divisor_modulus(theta, k)) pairs, bit for bit: for k in ks,
+    or for every k <= k_max from _dist_blocks when ks is None."""
+    if ks is not None:
+        return ((k, small_divisor_modulus(theta, k)) for k in ks)
+    return ((k, _modulus(d)) for block, dist in _dist_blocks(theta, k_max)
+            for k, d in zip(block, dist.tolist()))
+
+
+def _powers(ks: range, e) -> np.ndarray:
+    """k ** e for k in ks, as Python computes it (libm pow, or an exact int
+    for an int e >= 0), then rounded to float64."""
+    return np.fromiter(map(e.__rpow__, ks), float, len(ks))
+
+
+def _int_array(ks: range) -> np.ndarray:
+    """ks as an object array.  Every list picked from it holds the same int
+    object for a k (the loop over k and r shared one per k and r), so a
+    report with many violations and drift entries takes no more memory."""
+    return np.fromiter(ks, object, len(ks))
+
+
+def _picked(k_ints: np.ndarray, mask: np.ndarray, *cols: np.ndarray) -> list:
+    """(k, col values...) tuples of Python numbers where mask holds."""
+    idx = np.flatnonzero(mask)
+    return list(zip(k_ints[idx].tolist(), *(c[idx].tolist() for c in cols)))
 
 
 # -- continued fractions ------------------------------------------------
@@ -225,8 +299,6 @@ def _scan_denominators(theta, k_max: int):
     that terminates exactly (theta rational) covers every k: there the
     values are multiples of 1/q, so a tie is exact and gives equal floats.
     """
-    if k_max < 1:
-        return []
     # q_n >= F_{n+1} >= phi^(n-1): this depth reaches two denominators past k_max
     depth = int(math.log(k_max) / math.log((1 + math.sqrt(5)) / 2)) + 4
     try:
@@ -241,10 +313,9 @@ def _scan_denominators(theta, k_max: int):
     return sorted({1, *(q for q in qs if q <= k_max)})
 
 
-def _violations(theta, c: float, N: float, ks) -> list:
+def _violations(c: float, N: float, moduli) -> list:
     out = []
-    for k in ks:
-        v = small_divisor_modulus(theta, k)
+    for k, v in moduli:
         bound = c * k ** (-N)
         if not v > bound:
             out.append((k, v, bound))
@@ -264,9 +335,9 @@ def check_siegel(theta, c: float, N: float, k_max: int) -> DiophantineCertificat
         raise ValueError("need c > 0, N >= 0, k_max >= 1")
     _warn_float_horizon(theta, k_max)
     ks = _scan_denominators(theta, k_max)
-    violations = None if ks is None else _violations(theta, c, N, ks)
+    violations = None if ks is None else _violations(c, N, _moduli(theta, k_max, ks))
     if violations is None or violations:
-        violations = _violations(theta, c, N, range(1, k_max + 1))
+        violations = _violations(c, N, _moduli(theta, k_max))
     return DiophantineCertificate(_theta_value(theta), c, N, k_max, k_max, violations)
 
 
@@ -285,15 +356,17 @@ def max_c_detail(theta, N: float, k_max: int):
     sits at one of them, and the result equals that of the loop over every
     k.  A quadratic irrational certifies to k = 10^12 in milliseconds.
     N < 0, or a theta the scan does not cover (see _scan_denominators),
-    falls back to the loop over every k.
+    falls back to the loop over every k, fed by _dist_blocks.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     _warn_float_horizon(theta, k_max)
     ks = _scan_denominators(theta, k_max) if N >= 0 else None
     best = math.inf
     argmin = 0
     running = []
-    for k in range(1, k_max + 1) if ks is None else ks:
-        v = small_divisor_modulus(theta, k) * k**N
+    for k, m in _moduli(theta, k_max, ks):
+        v = m * k**N
         if v < best:
             best = v
             argmin = k
@@ -346,7 +419,17 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
     drifted far from 1, so it is recorded separately.  The conclusion the
     linearization consumes is the final bound with
     c' = sqrt(2)/2 * max_c(theta0, N, k_max).
+
+    ||k theta0|| comes once per k from _dist_blocks, and every r is tested
+    on each block with array masks.  r^k - 1 = expm1(k log r) and k^-N are
+    libm values, as math.expm1 and ** give them (np.expm1 and np.power
+    differ in the last bit on a few percent of inputs); the products and
+    sqrt are correctly rounded either way, and np.sin matches math.sin.  So
+    every violation tuple and drift entry equals that of the loop over k
+    and r bit for bit, which the oracle tests check.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     r_values = [float(r) for r in r_values]
     for r in r_values:
         if not 0.9 < r < 1.1:
@@ -354,33 +437,34 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
     half_sqrt2 = math.sqrt(2.0) / 2.0
     c_prime = half_sqrt2 * max_c(theta0, N, k_max)
     report = SectorReport(_theta_value(theta0), N, k_max, c_prime)
+    if not r_values:
+        return report
     for r in r_values:
-        log_r = math.log1p(r - 1.0)
-        res = {
+        report.results[r] = {
             "sector_violations": [],
             "complement_violations": [],
             "chained_violations": [],
             "final_violations": [],
             "drift": [],
         }
-        for k in range(1, k_max + 1):
-            dist = dist_k_theta(theta0, k)
-            sin_half = math.sin(math.pi * dist)       # |e^{i phi} - 1| / 2
-            rk_m1 = math.expm1(k * log_r)             # r^k - 1, no cancellation
+    for ks, dist in _dist_blocks(theta0, k_max):
+        k_ints, k_floats = _int_array(ks), np.arange(ks.start, ks.stop, dtype=float)
+        sin_half = np.sin(np.pi * dist)                  # |e^{i phi} - 1| / 2
+        unit_bound = half_sqrt2 * (2.0 * sin_half)
+        with np.errstate(over="ignore"):  # inf, as in Python floats
+            final_bound = c_prime * _powers(ks, -N)
+        in_sector = dist > 0.125
+        for r, res in report.results.items():
+            # r^k - 1 = expm1(k log r), no cancellation
+            rk_m1 = np.fromiter(map(math.expm1, (k_floats * math.log1p(r - 1.0)).tolist()),
+                                float, len(ks))
             rk = rk_m1 + 1.0
-            v = math.sqrt(rk_m1 * rk_m1 + 4.0 * rk * sin_half * sin_half)
-            unit_mod = 2.0 * sin_half
-            if not 0.5 <= rk <= 2.0:
-                res["drift"].append(k)
-            if dist > 0.125:  # k in I
-                if not v > half_sqrt2:
-                    res["sector_violations"].append((k, v))
-                if v < half_sqrt2 * unit_mod:
-                    res["chained_violations"].append((k, v, half_sqrt2 * unit_mod))
-            else:
-                if v < half_sqrt2 * unit_mod:
-                    res["complement_violations"].append((k, v, half_sqrt2 * unit_mod))
-            if v < c_prime * k ** (-N):
-                res["final_violations"].append((k, v, c_prime * k ** (-N)))
-        report.results[r] = res
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in floats
+                v = np.sqrt(rk_m1 * rk_m1 + 4.0 * rk * sin_half * sin_half)
+            below_unit = v < unit_bound
+            res["drift"] += k_ints[~((0.5 <= rk) & (rk <= 2.0))].tolist()
+            res["sector_violations"] += _picked(k_ints, in_sector & ~(v > half_sqrt2), v)
+            res["chained_violations"] += _picked(k_ints, in_sector & below_unit, v, unit_bound)
+            res["complement_violations"] += _picked(k_ints, ~in_sector & below_unit, v, unit_bound)
+            res["final_violations"] += _picked(k_ints, v < final_bound, v, final_bound)
     return report

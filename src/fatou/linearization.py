@@ -290,18 +290,22 @@ def residual(psi: Series1C2, F_jet, lam: complex, radius: float,
 
     F is evaluated through its jet, so the number reflects truncation plus
     rounding only and decays like radius^(D+1) as the radius shrinks.
+    The sample points w_j = radius e^{2 pi i j / samples} and lambda w_j
+    are formed in Python complex arithmetic; psi and the jet then run once
+    over all of them as arrays.  series1_eval and Series2.eval give every
+    point the bits of a one-point call, so the result equals that of the
+    loop over the points bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     P, Q = F_jet
-    worst = 0.0
-    for j in range(samples):
-        w = radius * cmath.exp(2j * math.pi * j / samples)
-        x, y = series1_eval(psi, w)
-        lhs = (P.eval(x, y), Q.eval(x, y))
-        rhs = series1_eval(psi, lam * w)
-        worst = max(worst, abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
-    return worst
+    ws = [radius * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
+    x, y = series1_eval(psi, np.array(ws))
+    rhs = series1_eval(psi, np.array([lam * w for w in ws]))
+    gaps = (P.eval(x, y) - rhs[0], Q.eval(x, y) - rhs[1])
+    # Python's abs and max, as the per-point loop took them: hypot, and a
+    # NaN gap never becomes the maximum
+    return max(0.0, *(abs(g) for gap in gaps for g in gap.tolist()))
 
 
 # -- majorants ---------------------------------------------------------------

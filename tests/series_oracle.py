@@ -12,17 +12,23 @@ by one dot product per entry and degree, whose summation order differs,
 and must agree within 1e-13 relative.  ``delta_bruteforce`` is the literal
 max over all compositions that ``fatou.linearization._delta_sequence``
 replaces with a pairwise dynamic program; the two must agree within
-1e-12 relative for k <= 12.  Kept here as the references that tests
-compare against.
+1e-12 relative for k <= 12.  ``check_sector_lemma`` reduces k theta
+for every k and again for every r; the library reduces theta once and
+tests every r on blocks of k with array masks, and must return equal
+reports bit for bit.  ``series1_eval``, ``series2_eval`` and ``residual``
+evaluate one point at a time; the library runs all sample points as
+arrays and must return equal bits.  Kept here as the references that
+tests compare against.
 """
 
+import cmath
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from fatou.algebra import Series1C2, series1_compose_map
-from fatou.diophantine import small_divisor_modulus
+from fatou.diophantine import dist_k_theta, max_c, small_divisor_modulus
 
 
 def check_siegel(theta, c, N, k_max):
@@ -118,3 +124,80 @@ def delta_bruteforce(eps_min, k):
         return best / eps_min[n]
 
     return delta(k)
+
+
+def check_sector_lemma(theta0, r_values, k_max, N=1.0):
+    """(c_prime, results) with ||k theta0||, r^k and every bound per k and r."""
+    r_values = [float(r) for r in r_values]
+    half_sqrt2 = math.sqrt(2.0) / 2.0
+    c_prime = half_sqrt2 * max_c(theta0, N, k_max)
+    results = {}
+    for r in r_values:
+        log_r = math.log1p(r - 1.0)
+        res = {
+            "sector_violations": [],
+            "complement_violations": [],
+            "chained_violations": [],
+            "final_violations": [],
+            "drift": [],
+        }
+        for k in range(1, k_max + 1):
+            dist = dist_k_theta(theta0, k)
+            sin_half = math.sin(math.pi * dist)
+            rk_m1 = math.expm1(k * log_r)
+            rk = rk_m1 + 1.0
+            v = math.sqrt(rk_m1 * rk_m1 + 4.0 * rk * sin_half * sin_half)
+            unit_mod = 2.0 * sin_half
+            if not 0.5 <= rk <= 2.0:
+                res["drift"].append(k)
+            if dist > 0.125:
+                if not v > half_sqrt2:
+                    res["sector_violations"].append((k, v))
+                if v < half_sqrt2 * unit_mod:
+                    res["chained_violations"].append((k, v, half_sqrt2 * unit_mod))
+            else:
+                if v < half_sqrt2 * unit_mod:
+                    res["complement_violations"].append((k, v, half_sqrt2 * unit_mod))
+            if v < c_prime * k ** (-N):
+                res["final_violations"].append((k, v, c_prime * k ** (-N)))
+        results[r] = res
+    return c_prime, results
+
+
+def series1_eval(psi, w):
+    """Horner at one point, the pair as two complex."""
+    ww = complex(w)
+    v = psi.coeffs[psi.order].copy()
+    for k in range(psi.order - 1, -1, -1):
+        v = v * ww + psi.coeffs[k]
+    return (complex(v[0]), complex(v[1]))
+
+
+def series2_eval(s, z, w):
+    """Series2 s at one point, in Python complex arithmetic."""
+    zz = complex(z)
+    ww = complex(w)
+    zp = [1.0 + 0j]
+    wp = [1.0 + 0j]
+    for _ in range(s.order):
+        zp.append(zp[-1] * zz)
+        wp.append(wp[-1] * ww)
+    total = 0j
+    for d in range(s.order, -1, -1):
+        lay = s.layer(d)
+        for j in range(d + 1):
+            total = total + lay[j] * zp[d - j] * wp[j]
+    return complex(total)
+
+
+def residual(psi, F_jet, lam, radius, samples=64):
+    """max over the sample points of ||F(psi(w)) - psi(lambda w)||, point by point."""
+    P, Q = F_jet
+    worst = 0.0
+    for j in range(samples):
+        w = radius * cmath.exp(2j * math.pi * j / samples)
+        x, y = series1_eval(psi, w)
+        lhs = (series2_eval(P, x, y), series2_eval(Q, x, y))
+        rhs = series1_eval(psi, lam * w)
+        worst = max(worst, abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
+    return worst

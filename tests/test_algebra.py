@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import series_oracle
+
 from fatou.algebra import (
     NonFiniteError,
     OrderMismatchError,
@@ -274,6 +276,57 @@ def test_series2_eval_matches_monomial_sum():
         s.get(i, j) * z**i * w**j for i in range(8) for j in range(8 - i)
     )
     assert abs(s.eval(z, w) - want) < 1e-12
+
+
+def _points(rng, n=200):
+    """Points of every scale, with 0, |w| >> 1 and non-finite entries."""
+    pts = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-4, 4, n)
+    pts[:4] = [0.0, -0.0, 1e30 - 2e30j, 3e200 + 1e-300j]
+    pts[4:8] = [complex(np.inf, 1.0), complex(1.0, -np.inf), complex(np.nan, 0.0),
+                complex(np.inf, np.nan)]
+    return pts
+
+
+def _bits(values) -> list:
+    """The raw bits of the real and imaginary parts (NaN payloads included)."""
+    return np.asarray(values, dtype=np.complex128).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7])
+def test_series1_eval_on_arrays_equals_the_scalar_loop(order):
+    rng = np.random.RandomState(40 + order)
+    psi = Series1C2(order, rng.randn(order + 1, 2) + 1j * rng.randn(order + 1, 2))
+    w = _points(np.random.default_rng(order))
+    with np.errstate(all="ignore"):
+        x, y = series1_eval(psi, w)
+        want = [series_oracle.series1_eval(psi, wi) for wi in w]
+        one = [series1_eval(psi, wi) for wi in w]
+        grid = series1_eval(psi, w.reshape(20, 10))
+    assert x.shape == y.shape == w.shape and x.dtype == np.complex128
+    assert _bits(np.stack([x, y], 1)) == _bits(want)
+    assert _bits(one) == _bits(want)
+    assert all(type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is complex
+               for v in one)
+    assert _bits(np.stack(grid, -1).reshape(-1, 2)) == _bits(want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5])
+def test_series2_eval_on_arrays_equals_the_scalar_loop(order):
+    rng = np.random.RandomState(50 + order)
+    s = rand_series(order, rng)
+    gen = np.random.default_rng(order)
+    z, w = _points(gen), gen.permutation(_points(gen))
+    with np.errstate(all="ignore"):
+        got = s.eval(z, w)
+        want = [series_oracle.series2_eval(s, zi, wi) for zi, wi in zip(z, w)]
+        one = [s.eval(zi, wi) for zi, wi in zip(z, w)]
+        # broadcasting: one z against every w
+        row = s.eval(z[9], w)
+        row_want = [series_oracle.series2_eval(s, z[9], wi) for wi in w]
+    assert got.shape == z.shape and got.dtype == np.complex128
+    assert _bits(got) == _bits(want)
+    assert _bits(one) == _bits(want) and all(type(v) is complex for v in one)
+    assert _bits(row) == _bits(row_want)
 
 
 # -- invariants / plumbing ---------------------------------------------------

@@ -209,6 +209,17 @@ def test_sector_sweep(tmp_path):
     assert d["ok"] is True
 
 
+@pytest.mark.parametrize("cmd", [
+    ("sector", "--theta", "golden", "--r", "1.0", "--kmax", "-3"),
+    ("sector", "--theta", "golden", "--r", "1.0", "--kmax", "0"),
+    ("diophantine", "--theta", "golden", "--kmax", "0"),
+])
+def test_empty_k_range_exits_1(tmp_path, capsys, cmd):
+    code, text = run(tmp_path, *cmd)
+    assert code == 1 and text == ""
+    assert "k_max must be >= 1" in capsys.readouterr().err
+
+
 def test_invariance_command(tmp_path):
     code, text = run(tmp_path, "invariance", "--map", "rank0", "--region",
                      "6,10", "--samples", "100", "--steps", "100")

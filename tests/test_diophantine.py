@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import series_oracle
@@ -213,22 +214,28 @@ ORACLE_THETAS = {
 
 
 @pytest.fixture(scope="module")
-def memo_modulus():
-    """small_divisor_modulus for the ORACLE_THETAS objects, read from a table
-    filled once: the library and the oracle see the same values, and the
-    per-k loops of the matrix cost a list lookup per k."""
+def modulus_tables():
     plain = dio.small_divisor_modulus
-    tables = {id(th): [None] + [plain(th, k) for k in range(1, 10**5 + 1)]
-              for th in ORACLE_THETAS.values()}
+    return {id(th): [None] + [plain(th, k) for k in range(1, 10**5 + 1)]
+            for th in ORACLE_THETAS.values()}
+
+
+@pytest.fixture
+def memo_modulus(modulus_tables, monkeypatch):
+    """small_divisor_modulus for the ORACLE_THETAS objects, read from a table
+    filled once, so the oracle's per-k loops and the library's convergent
+    scan cost a list lookup per k.  The library's loops over every k take
+    their moduli from _dist_blocks, so it is those values that the matrix
+    compares against the table.  The patch lasts one test; the tables last
+    the module."""
+    plain = dio.small_divisor_modulus
 
     def memo(theta, k):
-        table = tables.get(id(theta))
+        table = modulus_tables.get(id(theta))
         return plain(theta, k) if table is None or k >= len(table) else table[k]
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dio, "small_divisor_modulus", memo)
-        mp.setattr(series_oracle, "small_divisor_modulus", memo)
-        yield
+    monkeypatch.setattr(dio, "small_divisor_modulus", memo)
+    monkeypatch.setattr(series_oracle, "small_divisor_modulus", memo)
 
 
 @pytest.mark.parametrize("name", ORACLE_THETAS)
@@ -282,3 +289,143 @@ def test_certificate_to_1e12_scans_convergents_only(monkeypatch):
         k_mp = min(vals, key=vals.get)
         assert argmin == k_mp
         assert abs(best - float(vals[k_mp])) <= 1e-15 * best
+
+
+# -- the shared ||k theta|| blocks and the array sector check ---------------------
+
+BLOCK_THETAS = {
+    **ORACLE_THETAS,
+    "(1+sqrt7)/-3": QuadraticIrrational(1, 7, -3),
+    "3/7": Fraction(3, 7),
+    "-2/9": Fraction(-2, 9),
+    "zero": 0.0,
+    "tiny": 1e-300,
+    "5/4": 1.25,
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_THETAS)
+def test_dist_blocks_equal_dist_k_theta(name, monkeypatch):
+    theta = BLOCK_THETAS[name]
+    want = [dist_k_theta(theta, k) for k in range(1, 10**4 + 1)]
+    # one block, then blocks of 97 that restart from k a mod den each time
+    for block in (dio._K_BLOCK, 97):
+        monkeypatch.setattr(dio, "_K_BLOCK", block)
+        ks, dist = zip(*dio._dist_blocks(theta, 10**4))
+        assert [k for r in ks for k in r] == list(range(1, 10**4 + 1))
+        assert all(len(r) <= block for r in ks)
+        got = np.concatenate(dist)
+        assert got.dtype == np.float64
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], block
+
+
+SECTOR_THETAS = {
+    "golden": GOLDEN,
+    "silver": SILVER,
+    "(1+sqrt7)/-3": QuadraticIrrational(1, 7, -3),
+    "3/7": Fraction(3, 7),
+    "binary64": 0.7548776662466927,
+}
+
+
+def assert_same_report(theta, r_values, k_max, N):
+    """check_sector_lemma against the per-k, per-r oracle, bit for bit, or
+    the same exception from both."""
+    try:
+        c_prime, results = series_oracle.check_sector_lemma(theta, r_values, k_max, N)
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            check_sector_lemma(theta, r_values, k_max, N)
+        return
+    rep = check_sector_lemma(theta, r_values, k_max, N)
+    assert rep.c_prime.hex() == c_prime.hex()
+    # repr tells int from float and keeps every bit of a float
+    assert repr(rep.results) == repr(results), (r_values, k_max, N)
+    return results
+
+
+@pytest.mark.parametrize("name", SECTOR_THETAS)
+def test_sector_report_equals_per_k_oracle(name):
+    theta = SECTOR_THETAS[name]
+    r_all = [0.91, 0.999, 1.0, 1.001, 1.09]
+    tuples = 0
+    for N in (0.5, 1, 2):
+        for k_max in (1, 2, 10**4):
+            results = assert_same_report(theta, r_all[:-1], k_max, N)
+            tuples += sum(len(v) for res in results.values() for v in res.values())
+            # r^k overflows from k = 8237 at r = 1.09: both raise at 10^4
+            assert_same_report(theta, r_all, k_max, N)
+        assert_same_report(theta, [1.09, 0.91], 8000, N)
+    assert tuples > 3 * 20000  # drift and chained violations at the far r
+
+
+def test_sector_report_across_a_block_boundary():
+    k_max = dio._K_BLOCK + 5
+    assert_same_report(GOLDEN, [0.91, 1.0005], k_max, 1.0)
+    assert_same_report(0.7548776662466927, [0.999], k_max, 0.5)
+
+
+def test_sector_reduces_theta_once_per_call(monkeypatch):
+    blocks, reductions = [], []
+    plain_blocks, plain_dist = dio._dist_blocks, dio.dist_k_theta
+
+    def counting_blocks(theta, k_max):
+        blocks.append(k_max)
+        return plain_blocks(theta, k_max)
+
+    def counting_dist(theta, k):
+        reductions.append(k)
+        return plain_dist(theta, k)
+
+    monkeypatch.setattr(dio, "_dist_blocks", counting_blocks)
+    monkeypatch.setattr(dio, "dist_k_theta", counting_dist)
+    check_sector_lemma(GOLDEN, [0.999, 1.0, 1.001], 1000)
+    assert blocks == [1000]
+    # the other reductions are max_c's scan of k = 1 and the Fibonacci
+    # denominators up to 987, 15 k in all; a loop over k or r makes thousands
+    assert len(reductions) == 15
+
+
+def test_isqrt_once_per_quadratic_irrational(monkeypatch):
+    roots = []
+    plain = dio.isqrt
+
+    def counting(n):
+        roots.append(n)
+        return plain(n)
+
+    theta = QuadraticIrrational(3, 1234577, 7)  # d not used elsewhere: no cached root
+    monkeypatch.setattr(dio, "isqrt", counting)
+    for k in range(1, 200):
+        frac_k_theta(theta, k)
+        dist_k_theta(theta, k)
+        small_divisor_modulus(theta, k)
+    assert len(roots) == 1
+
+
+def test_fallback_loops_across_blocks_equal_the_oracle(monkeypatch):
+    # blocks of 97 put many block boundaries inside the loops over every k
+    monkeypatch.setattr(dio, "_K_BLOCK", 97)
+    for theta in (GOLDEN, 1 / 3 + 1e-14, Fraction(355, 1131)):
+        for N in (-0.5, 1.0):
+            want = series_oracle.max_c_detail(theta, N, 3000)
+            assert max_c_detail(theta, N, 3000) == want
+    for c, N in ((1.9, 1.0), (3.0, 1.0), (1.0, 0)):
+        cert = check_siegel(GOLDEN, c, N, 3000)
+        assert (cert.ok, cert.violations) == series_oracle.check_siegel(GOLDEN, c, N, 3000)
+    assert len(cert.violations) > 100
+
+
+def test_sector_with_no_r_skips_the_loop_over_k():
+    rep = check_sector_lemma(GOLDEN, [], 10**12)
+    assert rep.results == {} and rep.ok
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_empty_k_range_is_an_error(k_max):
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        check_sector_lemma(GOLDEN, [1.0], k_max)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        max_c_detail(GOLDEN, 1.0, k_max)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        max_c(GOLDEN, 1.0, k_max)

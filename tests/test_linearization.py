@@ -137,6 +137,43 @@ def test_residual_radius_slope():
         assert abs(s - 9) < 1.5, slopes
 
 
+@pytest.mark.parametrize("D", [2, 12, 40, 80])
+@pytest.mark.parametrize("precision", ["double", "dd"])
+def test_residual_equals_the_per_point_oracle(D, precision):
+    for modulus in (0.99, 0.995, 1.0, 1.005):
+        lam = modulus * LAM
+        F = quadratic_test_family(lam)
+        res = solve_psi(F, lam, D, precision=precision)
+        want = series_oracle.residual(res.psi, F, lam, res.residual_radius)
+        assert res.residual.hex() == want.hex(), modulus
+        # radii where truncation dominates, and |w| >> 1 where psi is huge
+        for radius in (res.residual_radius, 0.5, 40.0):
+            for samples in (1, 32, 64):
+                got = residual(res.psi, F, lam, radius, samples=samples)
+                want = series_oracle.residual(res.psi, F, lam, radius, samples=samples)
+                assert got.hex() == want.hex(), (modulus, radius, samples)
+
+
+def test_residual_evaluates_psi_twice(monkeypatch):
+    # one array pass at the points and one at their lambda-images: a loop
+    # over the points would call series1_eval 2 * samples times
+    import fatou.linearization as lin
+
+    calls = []
+    plain = lin.series1_eval
+
+    def counting(psi, w):
+        calls.append(np.shape(w))
+        return plain(psi, w)
+
+    monkeypatch.setattr(lin, "series1_eval", counting)
+    F = quadratic_test_family(LAM)
+    res = solve_psi(F, LAM, 20)
+    calls.clear()
+    residual(res.psi, F, LAM, 0.1, samples=64)
+    assert calls == [(64,), (64,)]
+
+
 def _conjugated_quadratic():
     """The order-4 quadratic family conjugated by a random basis."""
     rng = np.random.RandomState(8)
