@@ -178,7 +178,9 @@ class Series2:
         if self.order != other.order:
             raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
 
-    def __add__(self, other: "Series2") -> "Series2":
+    def __add__(self, other) -> "Series2":
+        if not isinstance(other, Series2):   # a scalar, as a constant series
+            other = Series2.const(self.order, other)
         self._chk(other)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self.coeffs + other.coeffs
@@ -214,6 +216,8 @@ class Series2:
         for _ in range(k):
             out = series2_mul(out, self)
         return out
+
+    __pow__ = pow
 
     def inverse(self) -> "Series2":
         """Multiplicative inverse; requires a nonzero constant term."""

@@ -61,6 +61,7 @@ __all__ = [
 _RATIONAL_QUOTIENT_LIMIT = 10**12
 _SQRT_SCALE = 10**40  # integer scale for sqrt(d); error ~ k * 1e-40
 _K_BLOCK = 4096  # k per block of the loops over every k; about 150 bytes of temporaries per k
+_LOG_R_K_CAP = 709.0  # cap on k log r: e^709 squared overflows; math.expm1 raises past 709.78
 
 
 @dataclass(frozen=True)
@@ -426,7 +427,9 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
     differ in the last bit on a few percent of inputs); the products and
     sqrt are correctly rounded either way, and np.sin matches math.sin.  So
     every violation tuple and drift entry equals that of the loop over k
-    and r bit for bit, which the oracle tests check.
+    and r bit for bit, which the oracle tests check.  Past the overflow
+    of r^k (from k = 8237 at r = 1.09) |lam^k - 1| is inf: that k is a
+    drift entry and breaks no bound.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -455,9 +458,10 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
             final_bound = c_prime * _powers(ks, -N)
         in_sector = dist > 0.125
         for r, res in report.results.items():
-            # r^k - 1 = expm1(k log r), no cancellation
-            rk_m1 = np.fromiter(map(math.expm1, (k_floats * math.log1p(r - 1.0)).tolist()),
-                                float, len(ks))
+            # r^k - 1 = expm1(k log r), no cancellation; k log r is capped
+            # below the overflow of expm1, where (r^k - 1)^2 and v are inf
+            xs = np.minimum(k_floats * math.log1p(r - 1.0), _LOG_R_K_CAP).tolist()
+            rk_m1 = np.fromiter(map(math.expm1, xs), float, len(ks))
             rk = rk_m1 + 1.0
             with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in floats
                 v = np.sqrt(rk_m1 * rk_m1 + 4.0 * rk * sin_half * sin_half)

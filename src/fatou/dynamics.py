@@ -17,9 +17,11 @@ Limit-map Jacobians are taken in the transformed chart (the chart the
 region lives in); the rank verdict is chart-independent.
 
 One engine, _lockstep_iterate, runs every orbit by iterating a step
-function in blocks of steps; its hooks read a block's rows at a time.  Escape is data in iterate and verify_forward_invariance; every
-other entry point raises MapEscapeError through _raise_on_escape, naming
-the seeds and the step at which each escaped.
+function in blocks of steps, the q steps of check_equivariance included;
+its hooks read a block's rows at a time.  Escape is data in iterate and
+verify_forward_invariance; every other entry point raises MapEscapeError
+through _raise_on_escape, naming the seeds and the step at which each
+escaped.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ __all__ = [
 ]
 
 ESCAPE_RADIUS = 1e100
+
+# steps between the engine's convergence checks, and the longest block
+CHECK_EVERY = 64
 
 # cap on the rows (z and w of each step in a block) that engine hooks read
 BLOCK_BYTES = 8 * 2**20
@@ -395,22 +400,22 @@ class LimitMapEstimate:
 
 
 def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
-                      stride: int = 1, check_every: int = 64, on_block=None):
+                      stride: int = 1, on_block=None):
     """Advance all seeds together until every step delta is below tol.
 
     The one orbit engine of the module: step(z, w) -> (z', w') is one map
     step on arrays of seeds (AutoMap.eval_batch, or the product/sum step).
     stride > 1 iterates the stride-th power of the map (subsequence mode).
-    The seeds advance in blocks of check_every strides, in a loop that does
-    nothing but step.  After each block, and at n_max, on_block(n, zs, ws)
-    sees the block's k rows (row i is the state after step
-    n - (k-1-i)*stride) and returns True to stop; so the engine may run up
-    to check_every - 1 strides past the step at which a hook stops.  The
-    row buffer holds at most BLOCK_BYTES: a big batch gets shorter blocks
-    that divide check_every.  Then the sup of the last step's deltas is
-    checked every check_every strides and at n_max; tol None runs all n_max
-    steps.  Escaped seeds ride along as non-finite data.  Returns
-    (z, w, n_used, sup_delta).
+    The seeds advance in blocks of CHECK_EVERY strides, in one loop that
+    steps and, for a hook, copies each state into a row buffer.  After each
+    block, and at n_max, on_block(n, zs, ws) sees the block's k rows (row i
+    is the state after step n - (k-1-i)*stride) and returns True to stop;
+    so the engine may run up to CHECK_EVERY - 1 strides past the step at
+    which a hook stops.  The buffer holds at most BLOCK_BYTES, down to one
+    row: a big batch gets shorter blocks that divide CHECK_EVERY.  The sup
+    of the last step's deltas is checked every CHECK_EVERY strides and at
+    n_max; tol None runs all n_max steps.  Escaped seeds ride along as
+    non-finite data.  Returns (z, w, n_used, sup_delta).
     """
     z = np.array(z, dtype=complex)
     w = np.array(w, dtype=complex)
@@ -422,36 +427,29 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
                 z, w = map_step(z, w)
             return z, w
 
-    block = check_every
+    block = CHECK_EVERY
     zs = ws = None                      # the row buffer, when a hook reads rows
     if on_block is not None:
-        while block > 1 and (check_every % block or 32 * block * z.size > BLOCK_BYTES):
+        while block > 1 and (CHECK_EVERY % block or 32 * block * z.size > BLOCK_BYTES):
             block -= 1
-        if block > 1:
-            zs, ws = np.empty((2, block) + z.shape, dtype=complex)
+        zs, ws = np.empty((2, block) + z.shape, dtype=complex)
     n = 0
     since_check = 0
     sup_delta = math.inf
     with np.errstate(all="ignore"):
         while n < n_max:
             k = min(block, -(-(n_max - n) // stride))
-            if zs is None:
-                for _ in range(k):
-                    z_prev, w_prev = z, w
-                    z, w = step(z, w)
-            else:
-                for i in range(k):
-                    z_prev, w_prev = z, w
-                    z, w = step(z, w)
+            for i in range(k):
+                z_prev, w_prev = z, w
+                z, w = step(z, w)
+                if zs is not None:
                     zs[i] = z
                     ws[i] = w
             n += k * stride
-            if on_block is not None:
-                rows = (z[None], w[None]) if zs is None else (zs[:k], ws[:k])
-                if on_block(n, *rows):
-                    break
+            if zs is not None and on_block(n, zs[:k], ws[:k]):
+                break
             since_check += k
-            if tol is not None and (since_check == check_every or n >= n_max):
+            if tol is not None and (since_check == CHECK_EVERY or n >= n_max):
                 since_check = 0
                 deltas = np.maximum(np.abs(z - z_prev), np.abs(w - w_prev))
                 sup_delta = float(np.fmax.reduce(deltas, axis=None))
@@ -599,7 +597,6 @@ class ProductSumTrack:
     S: complex
     partials: list        # (n, P_n, S_n) at recorded strides
     identity_defect: float
-    cauchy_ok: bool
     n_performed: int
 
 
@@ -616,16 +613,13 @@ def track_product_sum(m: AutoMap, seed_transformed, n_max: int,
     P, S, defect, n, partials = _product_sum_run(m, [zh], [w0], n_max, None,
                                                  record_every)
     partials = [(k, complex(p[0]), complex(s[0])) for k, p, s in partials]
-    cauchy_ok = _dyadic_cauchy([p for _, p, _ in partials]) and _dyadic_cauchy(
-        [s for _, _, s in partials]
-    )
-    if not cauchy_ok:
+    if not (_dyadic_cauchy([p for _, p, _ in partials])
+            and _dyadic_cauchy([s for _, _, s in partials])):
         raise ArithmeticError(
             "product/sum partials are not Cauchy within n_max; the seed is "
             "likely outside a verified region"
         )
-    return ProductSumTrack(complex(P[0]), complex(S[0]), partials, defect,
-                           cauchy_ok, n)
+    return ProductSumTrack(complex(P[0]), complex(S[0]), partials, defect, n)
 
 
 def track_product_sum_batch(m: AutoMap, zhat, w, n_max: int, tol: float = 0.0):
@@ -819,10 +813,11 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
             hit_params.append((n, tt))
     # invariance against the generator pipeline, which shares no code with
     # the closed-form kernel that made the rows; a block of rows at a time
+    pipeline = AutoMap(m.pipeline)
     defect = 0.0
     for lo in range(0, n_max, 256):
         hi = min(lo + 256, n_max)
-        img_z, img_w = m.eval_batch(poly_z[lo:hi], poly_w[lo:hi], use_fastpath=False)
+        img_z, img_w = pipeline.eval_batch(poly_z[lo:hi], poly_w[lo:hi])
         defect = max(defect, float(np.max(np.maximum(
             np.abs(img_z - poly_z[lo + 1:hi + 1]), np.abs(img_w - poly_w[lo + 1:hi + 1])))))
     return CurveResult(poly_z, poly_w, hits, hit_params, defect)
@@ -851,10 +846,7 @@ def check_equivariance(m: AutoMap, estimate: LimitMapEstimate) -> float:
         )
     q = estimate.rotation_order or 1
     hz, hw = estimate.limits_z, estimate.limits_w
-    fz, fw = hz.ravel(), hw.ravel()
-    with np.errstate(all="ignore"):
-        for _ in range(q):
-            fz, fw = m.eval_batch(fz, fw)
+    fz, fw = _lockstep_iterate(m.eval_batch, hz.ravel(), hw.ravel(), None, q)[:2]
     _raise_on_escape(m, to_transformed(hz), hw, _escaped(fz, fw).reshape(hz.shape), q,
                      "limit points", hz)
     return float(np.max(np.maximum(np.abs(fz - hz.ravel()), np.abs(fw - hw.ravel()))))

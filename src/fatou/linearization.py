@@ -294,18 +294,21 @@ def residual(psi: Series1C2, F_jet, lam: complex, radius: float,
     are formed in Python complex arithmetic; psi and the jet then run once
     over all of them as arrays.  series1_eval and Series2.eval give every
     point the bits of a one-point call, so the result equals that of the
-    loop over the points bit for bit.
+    loop over the points bit for bit.  A gap that is not finite (psi or
+    the jet overflowed at this radius) makes the residual inf.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     P, Q = F_jet
     ws = [radius * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
-    x, y = series1_eval(psi, np.array(ws))
-    rhs = series1_eval(psi, np.array([lam * w for w in ws]))
-    gaps = (P.eval(x, y) - rhs[0], Q.eval(x, y) - rhs[1])
-    # Python's abs and max, as the per-point loop took them: hypot, and a
-    # NaN gap never becomes the maximum
-    return max(0.0, *(abs(g) for gap in gaps for g in gap.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf below
+        x, y = series1_eval(psi, np.array(ws))
+        rhs = series1_eval(psi, np.array([lam * w for w in ws]))
+        gaps = (P.eval(x, y) - rhs[0], Q.eval(x, y) - rhs[1])
+    # Python's abs and max, as the per-point loop took them (hypot); max
+    # would skip a NaN gap, so any gap that is not finite reads inf
+    mags = [abs(g) for gap in gaps for g in gap.tolist()]
+    return max(0.0, *mags) if all(map(math.isfinite, mags)) else math.inf
 
 
 # -- majorants ---------------------------------------------------------------

@@ -12,9 +12,11 @@ algebraically simplified closed form (the ``fastpath``) so that the limit
 value (0, w) on the w-axis is produced exactly and less precision is lost
 than to the naive division for small |z| (see ``_fast_forward``).
 
-All evaluators accept numpy arrays and broadcast elementwise; AutoMap values
-are immutable and evaluation is pure, so maps can be shared across threads
-and grids evaluated in parallel.
+One generator evaluator, _apply_elem, gives values (on numpy arrays) and
+jets (on Series2 pairs).  AutoMap(m.pipeline) is m without its fast path,
+the pipeline-only evaluator.  All evaluators accept numpy arrays and
+broadcast elementwise; AutoMap values are immutable and evaluation is
+pure, so maps can be shared across threads and grids evaluated in parallel.
 """
 
 from __future__ import annotations
@@ -176,35 +178,62 @@ def _horner(coeffs: tuple, x):
 
 
 def _poly_tail(coeffs: tuple, x, start: int):
-    """sum_k coeffs[k] * x^(start+k); works on scalars and arrays."""
-    if not coeffs:
-        return np.zeros_like(x)
-    acc = _horner(coeffs[:-1] + (coeffs[-1] + 0j,), x)   # as 0 + c: a -0.0 part becomes 0.0
+    """sum_k coeffs[k] * x^(start+k); works on scalars, arrays and Series2."""
+    jet = isinstance(x, Series2)
+    if not coeffs:   # exact zeros: 0 * x is NaN at an escaped x
+        return Series2.zero(x.order) if jet else np.zeros_like(x)
+    last = coeffs[-1] + 0j   # as 0 + c: a -0.0 part becomes 0.0
+    # on a jet c x is series2_mul(c, x): a scale by complex c has other bits
+    acc = _horner(coeffs[:-1] + (Series2.const(x.order, last) if jet else last,), x)
     return acc * x if start == 1 else acc * x**start
 
 
 def _apply_elem(em: ElementaryMap, z, w):
+    """One generator on numpy arrays or on a Series2 jet pair.  Neither
+    product commutes bit for bit, so each keeps its arithmetic's order."""
+    jet = isinstance(z, Series2)
+    exp = _exp_series if jet else np.exp
     k = em.kind
     if k == MapKind.F1:
         return z, w + z
     if k == MapKind.F2:
-        return z * np.exp(w), w
+        return z * exp(w), w
     if k == MapKind.F3:
         return z, w - z
     if k == MapKind.F4:
-        return z * np.exp(-w), w
+        return z * exp(-w), w
     if k == MapKind.SHEAR:
         return z, w + _poly_tail(em.coeffs, z, 2)
     if k == MapKind.OVERSHEAR:
-        return z, w * np.exp(_poly_tail(em.coeffs, z, 1))
+        return z, w * exp(_poly_tail(em.coeffs, z, 1))
     if k == MapKind.F6:
-        return z, w * np.exp((em.l + 1) * z)
+        return z, w * exp((em.l + 1) * z)
     if k == MapKind.THETA:
         return z, w * cmath.exp(1j * em.theta)
-    if k == MapKind.BL:
-        return z, w * z**em.l
+    if k == MapKind.BL:   # a jet multiplies Z^l W, an array w z^l
+        return z, z**em.l * w if jet else w * z**em.l
     # BL_INV: singular on the w-axis; fastpath presets never reach this at z=0
-    return z, w / z**em.l
+    return z, _jet_div_zl(z, w, em.l) if jet else w / z**em.l
+
+
+def _exp_series(S: Series2) -> Series2:
+    """exp of a series with arbitrary constant term."""
+    c0 = S.coeffs[0]
+    if c0 == 0:
+        return series2_exp(S)
+    shifted = S - Series2.const(S.order, c0)
+    return series2_exp(shifted).scale(cmath.exp(c0))
+
+
+def _jet_div_zl(Z: Series2, W: Series2, l: int) -> Series2:
+    """W / Z^l, exact up to the working order less l + 1 (see AutoMap.jet)."""
+    if Z.coeffs[0] != 0:
+        # Z is a unit (jet taken away from the w-axis): plain inversion
+        return series2_mul(W, Z.inverse().pow(l))
+    work = Z.order
+    U = Z.shift_div_z1(1).pad(work)  # unit cofactor of Z; top layer unknown
+    V = U.inverse().pow(l)
+    return series2_mul(W, V).shift_div_z1(l).pad(work)
 
 
 # -- fastpath closed forms ---------------------------------------------------
@@ -307,11 +336,11 @@ class AutoMap:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval_batch(self, z, w, *, use_fastpath: bool = True):
+    def eval_batch(self, z, w):
         """Vectorized forward evaluation; nonfinite output marks escape."""
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
-        if self.fastpath is not None and use_fastpath:
+        if self.fastpath is not None:
             return _fast_forward(self.fastpath, z, w)
         with np.errstate(all="ignore"):
             for em in self.pipeline:
@@ -320,11 +349,7 @@ class AutoMap:
 
     def eval(self, z: complex, w: complex) -> tuple:
         """Forward evaluation at one point; raises MapEscapeError on overflow."""
-        z1, w1 = self.eval_batch(np.array([z]), np.array([w]))
-        out = (complex(z1[0]), complex(w1[0]))
-        if not (cmath.isfinite(out[0]) and cmath.isfinite(out[1])):
-            raise MapEscapeError((z, w))
-        return out
+        return _at_point(self.eval_batch, z, w)
 
     def eval_inverse_batch(self, z, w):
         z = np.asarray(z, dtype=np.complex128)
@@ -343,11 +368,7 @@ class AutoMap:
             return np.where(axis, 0.0 * w, zi), np.where(axis, w * rot, wi)
 
     def eval_inverse(self, z: complex, w: complex) -> tuple:
-        z1, w1 = self.eval_inverse_batch(np.array([z]), np.array([w]))
-        out = (complex(z1[0]), complex(w1[0]))
-        if not (cmath.isfinite(out[0]) and cmath.isfinite(out[1])):
-            raise MapEscapeError((z, w))
-        return out
+        return _at_point(self.eval_inverse_batch, z, w)
 
     # -- jets -----------------------------------------------------------
 
@@ -369,56 +390,17 @@ class AutoMap:
             Z = Z + Series2.const(work, q1)
             W = W + Series2.const(work, q2)
         for em in self.pipeline:
-            Z, W = _apply_elem_jet(em, Z, W)
+            Z, W = _apply_elem(em, Z, W)
         return Z.truncate(order), W.truncate(order)
 
 
-def _exp_series(S: Series2) -> Series2:
-    """exp of a series with arbitrary constant term."""
-    c0 = S.coeffs[0]
-    if c0 == 0:
-        return series2_exp(S)
-    shifted = S - Series2.const(S.order, c0)
-    return series2_exp(shifted).scale(cmath.exp(c0))
-
-
-def _apply_elem_jet(em: ElementaryMap, Z: Series2, W: Series2):
-    k = em.kind
-    if k == MapKind.F1:
-        return Z, W + Z
-    if k == MapKind.F2:
-        return series2_mul(Z, _exp_series(W)), W
-    if k == MapKind.F3:
-        return Z, W - Z
-    if k == MapKind.F4:
-        return series2_mul(Z, _exp_series(-W)), W
-    if k == MapKind.SHEAR:
-        acc = Series2.zero(Z.order)
-        for c in reversed(em.coeffs):
-            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
-        return Z, W + series2_mul(acc, series2_mul(Z, Z))
-    if k == MapKind.OVERSHEAR:
-        acc = Series2.zero(Z.order)
-        for c in reversed(em.coeffs):
-            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
-        return Z, series2_mul(W, _exp_series(series2_mul(acc, Z)))
-    if k == MapKind.F6:
-        return Z, series2_mul(W, _exp_series(Z.scale(em.l + 1)))
-    if k == MapKind.THETA:
-        return Z, W.scale(cmath.exp(1j * em.theta))
-    if k == MapKind.BL:
-        P = Z.pow(em.l)
-        return Z, series2_mul(P, W)
-    # BL_INV: divide W by Z^l.
-    l = em.l
-    if Z.coeffs[0] != 0:
-        # Z is a unit (jet taken away from the w-axis): plain inversion
-        return Z, series2_mul(W, Z.inverse().pow(l))
-    work = Z.order
-    U = Z.shift_div_z1(1).pad(work)  # unit cofactor of Z; top layer unknown
-    V = U.inverse().pow(l)
-    quotient = series2_mul(W, V).shift_div_z1(l).pad(work)
-    return Z, quotient
+def _at_point(batch, z, w) -> tuple:
+    """A batch evaluator at one point; raises MapEscapeError on overflow."""
+    z1, w1 = batch(np.array([z]), np.array([w]))
+    out = (complex(z1[0]), complex(w1[0]))
+    if not (cmath.isfinite(out[0]) and cmath.isfinite(out[1])):
+        raise MapEscapeError((z, w))
+    return out
 
 
 # -- presets ----------------------------------------------------------------
@@ -442,17 +424,12 @@ def solve_shear_coefficients(base: AutoMap, l: int):
     order = l + 2
     Zj, Wj = base.jet(order)
     _check_section_form(Wj)
-    powers = {}
-    p = Zj
-    for k in range(2, l + 2):
-        p = series2_mul(p, Zj)
-        powers[k] = p
     a = []
-    W_cur = Wj
+    p, W_cur = Zj, Wj
     for i in range(2, l + 2):
-        ai = -W_cur.get(i, 0)
-        W_cur = W_cur + powers[i].scale(ai)
-        a.append(ai)
+        p = series2_mul(p, Zj)   # (pi_1 base)^i
+        a.append(-W_cur.get(i, 0))
+        W_cur = W_cur + p.scale(a[-1])
     return tuple(a)
 
 

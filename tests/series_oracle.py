@@ -17,8 +17,11 @@ for every k and again for every r; the library reduces theta once and
 tests every r on blocks of k with array masks, and must return equal
 reports bit for bit.  ``series1_eval``, ``series2_eval`` and ``residual``
 evaluate one point at a time; the library runs all sample points as
-arrays and must return equal bits.  Kept here as the references that
-tests compare against.
+arrays and must return equal bits.  ``apply_elem_jet`` is the jet twin of
+each generator that ``fatou.maps`` once kept beside its value form;
+``jet`` pushes identity coordinates through it, and ``AutoMap.jet``, which
+runs the one generator evaluator on Series2 pairs, must return equal bits.
+Kept here as the references that tests compare against.
 """
 
 import cmath
@@ -27,8 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from fatou.algebra import Series1C2, series1_compose_map
+from fatou.algebra import Series1C2, Series2, series1_compose_map, series2_exp, series2_mul
 from fatou.diophantine import dist_k_theta, max_c, small_divisor_modulus
+from fatou.maps import MapKind
 
 
 def check_siegel(theta, c, N, k_max):
@@ -201,3 +205,65 @@ def residual(psi, F_jet, lam, radius, samples=64):
         rhs = series1_eval(psi, lam * w)
         worst = max(worst, abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
     return worst
+
+
+def _exp_series(S):
+    """exp of a series with arbitrary constant term."""
+    c0 = S.coeffs[0]
+    if c0 == 0:
+        return series2_exp(S)
+    shifted = S - Series2.const(S.order, c0)
+    return series2_exp(shifted).scale(cmath.exp(c0))
+
+
+def apply_elem_jet(em, Z, W):
+    k = em.kind
+    if k == MapKind.F1:
+        return Z, W + Z
+    if k == MapKind.F2:
+        return series2_mul(Z, _exp_series(W)), W
+    if k == MapKind.F3:
+        return Z, W - Z
+    if k == MapKind.F4:
+        return series2_mul(Z, _exp_series(-W)), W
+    if k == MapKind.SHEAR:
+        acc = Series2.zero(Z.order)
+        for c in reversed(em.coeffs):
+            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
+        return Z, W + series2_mul(acc, series2_mul(Z, Z))
+    if k == MapKind.OVERSHEAR:
+        acc = Series2.zero(Z.order)
+        for c in reversed(em.coeffs):
+            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
+        return Z, series2_mul(W, _exp_series(series2_mul(acc, Z)))
+    if k == MapKind.F6:
+        return Z, series2_mul(W, _exp_series(Z.scale(em.l + 1)))
+    if k == MapKind.THETA:
+        return Z, W.scale(cmath.exp(1j * em.theta))
+    if k == MapKind.BL:
+        P = Z.pow(em.l)
+        return Z, series2_mul(P, W)
+    # BL_INV: divide W by Z^l.
+    l = em.l
+    if Z.coeffs[0] != 0:
+        # Z is a unit (jet taken away from the w-axis): plain inversion
+        return Z, series2_mul(W, Z.inverse().pow(l))
+    work = Z.order
+    U = Z.shift_div_z1(1).pad(work)  # unit cofactor of Z; top layer unknown
+    V = U.inverse().pow(l)
+    quotient = series2_mul(W, V).shift_div_z1(l).pad(work)
+    return Z, quotient
+
+
+def jet(m, order, at=None):
+    """The jet of an AutoMap through apply_elem_jet, at an inflated working
+    order for each BlInverse."""
+    work = order + sum(em.l + 1 for em in m.pipeline if em.kind == MapKind.BL_INV)
+    Z = Series2.var_z(work)
+    W = Series2.var_w(work)
+    if at is not None:
+        Z = Z + Series2.const(work, complex(at[0]))
+        W = W + Series2.const(work, complex(at[1]))
+    for em in m.pipeline:
+        Z, W = apply_elem_jet(em, Z, W)
+    return Z.truncate(order), W.truncate(order)

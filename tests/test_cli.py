@@ -209,6 +209,16 @@ def test_sector_sweep(tmp_path):
     assert d["ok"] is True
 
 
+def test_sector_past_the_overflow_of_r_to_the_k(tmp_path):
+    # r^k overflows from k = 8237 at r = 1.09: every later k is drift
+    code, text = run(tmp_path, "sector", "--theta", "golden", "--r", "0.91,1.09",
+                     "--kmax", "10000")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["ok"] is True
+    assert d["per_r"]["1.09"]["drift_count"] == 10000 - 8
+
+
 @pytest.mark.parametrize("cmd", [
     ("sector", "--theta", "golden", "--r", "1.0", "--kmax", "-3"),
     ("sector", "--theta", "golden", "--r", "1.0", "--kmax", "0"),

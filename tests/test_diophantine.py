@@ -344,6 +344,33 @@ def assert_same_report(theta, r_values, k_max, N):
     return results
 
 
+R_OVERFLOW, K_OVERFLOW = 1.09, 8237   # the first k whose r^k overflows
+
+
+def assert_overflow_is_drift(theta, r_all, k_max, N, results):
+    """With R_OVERFLOW among r_all the oracle raises from K_OVERFLOW on.
+    The report equals the oracle's at the other r, and at R_OVERFLOW below
+    K_OVERFLOW; from there on every k is a drift entry and no violation."""
+    assert r_all[-1] == R_OVERFLOW
+    rep = check_sector_lemma(theta, r_all, k_max, N)
+    far = rep.results.pop(R_OVERFLOW)
+    assert repr(rep.results) == repr(results)
+    below = assert_same_report(theta, [R_OVERFLOW], min(k_max, K_OVERFLOW - 1), N)
+    head = {key: [e for e in v if (e if isinstance(e, int) else e[0]) < K_OVERFLOW]
+            for key, v in far.items()}
+    assert repr(head) == repr(below[R_OVERFLOW])
+    assert far["drift"][len(below[R_OVERFLOW]["drift"]):] == list(range(K_OVERFLOW, k_max + 1))
+    assert sum(map(len, far.values())) == sum(map(len, head.values())) + max(
+        0, k_max - K_OVERFLOW + 1)
+
+
+def test_sector_overflow_starts_at_k_overflow():
+    log_r = math.log1p(R_OVERFLOW - 1.0)
+    math.expm1((K_OVERFLOW - 1) * log_r)
+    with pytest.raises(OverflowError):
+        math.expm1(K_OVERFLOW * log_r)
+
+
 @pytest.mark.parametrize("name", SECTOR_THETAS)
 def test_sector_report_equals_per_k_oracle(name):
     theta = SECTOR_THETAS[name]
@@ -353,8 +380,7 @@ def test_sector_report_equals_per_k_oracle(name):
         for k_max in (1, 2, 10**4):
             results = assert_same_report(theta, r_all[:-1], k_max, N)
             tuples += sum(len(v) for res in results.values() for v in res.values())
-            # r^k overflows from k = 8237 at r = 1.09: both raise at 10^4
-            assert_same_report(theta, r_all, k_max, N)
+            assert_overflow_is_drift(theta, r_all, k_max, N, results)
         assert_same_report(theta, [1.09, 0.91], 8000, N)
     assert tuples > 3 * 20000  # drift and chained violations at the far r
 

@@ -154,6 +154,17 @@ def test_residual_equals_the_per_point_oracle(D, precision):
                 assert got.hex() == want.hex(), (modulus, radius, samples)
 
 
+def test_residual_is_inf_when_the_gaps_are_not_finite():
+    # at |w| = 1000 psi of order 80 overflows and every gap is inf - inf;
+    # the per-point max skips each NaN and reads 0.0
+    F = quadratic_test_family(LAM)
+    res = solve_psi(F, LAM, 80)
+    with np.errstate(all="ignore"):
+        assert series_oracle.residual(res.psi, F, LAM, 1000.0) == 0.0
+    assert residual(res.psi, F, LAM, 1000.0) == math.inf
+    assert math.isfinite(residual(res.psi, F, LAM, res.residual_radius))
+
+
 def test_residual_evaluates_psi_twice(monkeypatch):
     # one array pass at the points and one at their lambda-images: a loop
     # over the points would call series1_eval 2 * samples times

@@ -1,16 +1,24 @@
 import cmath
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fatou.algebra import Series2, series2_exp, series2_mul
+import series_oracle
+from fatou.algebra import Series2, SeriesError, series2_exp, series2_mul
 from fatou.maps import (
     AutoMap,
     FixedPointClass,
     MapEscapeError,
     bl,
+    bl_inverse,
     classify_fixed_point,
     f1,
+    f2,
+    f3,
+    f4,
+    f6,
     four_map_composite,
     jacobian,
     map_from_json,
@@ -83,7 +91,7 @@ def test_fastpath_matches_pipeline():
     w = 10 * np.sqrt(halton(n, 5)) * np.exp(2j * np.pi * halton(n, 7))
     for H in (rank0_map(2), rank1_map(), rotation_map(2 * np.pi * 0.618)):
         zf, wf = H.eval_batch(z, w)
-        zp, wp = H.eval_batch(z, w, use_fastpath=False)
+        zp, wp = AutoMap(H.pipeline).eval_batch(z, w)
         with np.errstate(invalid="ignore"):
             ok = np.isfinite(zf * wf * zp * wp)
         assert ok.mean() > 0.9
@@ -103,7 +111,7 @@ def test_fastpath_matches_pipeline_l3():
     w = 10 * np.sqrt(halton(n, 5)) * np.exp(2j * np.pi * halton(n, 7))
     H = rank0_map(3)
     zf, wf = H.eval_batch(z, w)
-    zp, wp = H.eval_batch(z, w, use_fastpath=False)
+    zp, wp = AutoMap(H.pipeline).eval_batch(z, w)
     ok = np.isfinite(zf * wf * zp * wp)
     rel_w = np.abs(wf - wp)[ok] / np.maximum(1.0, np.abs(wp[ok]))
     assert rel_w.max() < 1e-9
@@ -213,6 +221,64 @@ def test_jet_product_identity_5_1_2():
     assert abs(prod.get(2, 0) - 1.5) < 1e-12
     assert abs(prod.get(2, 1)) < 1e-12
     assert abs(prod.get(1, 1)) < 1e-12
+
+
+JET_PRESETS = {
+    **{f"rank0_l{l}": rank0_map(l) for l in (1, 2, 3, 4)},
+    "rank1": rank1_map(),
+    "rotation_1/3": rotation_map(2 * math.pi / 3, Fraction(1, 3)),
+    "rotation_golden": rotation_map(math.pi * (math.sqrt(5) - 1)),
+    "four_map": four_map_composite(),
+}
+JET_GENERATORS = {
+    "F1": f1(), "F2": f2(), "F3": f3(), "F4": f4(),
+    "Shear": shear((-1.5, 0.7 - 0.2j)), "Shear()": shear(()),
+    "Overshear": overshear((-2.0, 0.25 + 1j)), "Overshear()": overshear(()),
+    "F6": f6(2), "Theta": theta_rotation(0.9), "Bl": bl(3), "BlInverse": bl_inverse(2),
+}
+# each generator after F2 then F1, where Z = z e^w and W = w + z e^w
+JET_AFTER_G = {name: AutoMap((f2(), f1(), em)) for name, em in JET_GENERATORS.items()}
+# the origin, the w-axis and a point off it
+JET_POINTS = (None, (0.0, 0.5 - 0.25j), (0.125 - 0.0625j, -0.3 + 0.2j))
+
+
+def assert_jet_equals_oracle(m, order, at):
+    """AutoMap.jet gives the bits of the per-generator jet chain, signed
+    zeros included, or raises as it does."""
+    try:
+        want = series_oracle.jet(m, order, at)
+    except SeriesError as exc:
+        with pytest.raises(type(exc)):
+            m.jet(order, at)
+        return
+    got = m.jet(order, at)
+    for g, w in zip(got, want):
+        assert g.order == w.order == order
+        assert np.array_equal(g.coeffs.view(np.uint64), w.coeffs.view(np.uint64)), (order, at)
+
+
+@pytest.mark.parametrize("name", JET_PRESETS)
+def test_preset_jets_equal_the_generator_chain_oracle(name):
+    for order in range(1, 11):
+        for at in JET_POINTS:
+            assert_jet_equals_oracle(JET_PRESETS[name], order, at)
+
+
+@pytest.mark.parametrize("name", JET_GENERATORS)
+def test_generator_jets_equal_the_generator_chain_oracle(name):
+    for m in (AutoMap((JET_GENERATORS[name],)), JET_AFTER_G[name]):
+        for order in (1, 2, 3, 6, 10):
+            for at in JET_POINTS:
+                assert_jet_equals_oracle(m, order, at)
+
+
+def test_empty_tails_are_exact_zeros():
+    # Shear and Overshear with no coefficients leave w alone, also where z
+    # is not finite (0 * z would be NaN there)
+    z = np.array([np.inf, complex(np.nan, 1.0), 0.5])
+    w = np.array([2.0, -3.0j, 1.0])
+    for em in (shear(()), overshear(())):
+        assert np.array_equal(AutoMap((em,)).eval_batch(z, w)[1], w)
 
 
 def test_jet_matches_finite_differences():

@@ -2,9 +2,11 @@
 
 perfbench/tracing.py patches fatou functions by name for `run.py --trace 1`;
 a rename or deletion under src/ would break that run, so it fails here.
+Every name in an ``__all__`` of the package and its modules resolves too.
 """
 
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -38,6 +40,19 @@ def test_traced_targets_resolve(tracing):
         if not found:
             missing.append(f"fatou.{mod}.{attr}")
     assert not missing, f"traced but not found: {missing}"
+
+
+def test_exports_resolve():
+    # a deletion under src/ must not leave a name in an __all__ behind
+    import fatou
+
+    modules = [fatou] + [importlib.import_module(f"fatou.{info.name}")
+                         for info in pkgutil.iter_modules(fatou.__path__)
+                         if not info.name.startswith("_")]
+    assert len(modules) == 8
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"exported but not found: {missing}"
 
 
 def test_tracer_installs_and_restores(tracing):
