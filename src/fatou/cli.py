@@ -300,8 +300,10 @@ def cmd_invariance(args) -> int:
 
 def cmd_limit(args) -> int:
     m = build_map(args)
-    shape = str(args.grid or "10x10").lower().split("x")
-    nz, nw = int(shape[0]), int(shape[1])
+    nz, _, nw = str(args.grid or "10x10").lower().partition("x")
+    if not (nz.isdigit() and nw.isdigit()):
+        raise ValueError(f"--grid must be NZxNW, e.g. 10x10, got {args.grid!r}")
+    nz, nw = int(nz), int(nw)
     origin = parse_point(str(args.grid_origin)) if args.grid_origin else None
     if origin is None:
         region = _region(args)

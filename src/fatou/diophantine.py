@@ -89,8 +89,6 @@ SILVER = QuadraticIrrational(-1, 2, 1)   # sqrt(2) - 1
 def _theta_value(theta) -> float:
     if isinstance(theta, QuadraticIrrational):
         return theta.value()
-    if isinstance(theta, Fraction):
-        return float(theta)
     return float(theta)
 
 
@@ -400,7 +398,8 @@ class SectorReport:
 
     @property
     def ok(self) -> bool:
-        return all(
+        # c' = 0 (theta rational, lam a root of unity) bounds nothing away from 0
+        return self.c_prime > 0 and all(
             not res["sector_violations"]
             and not res["complement_violations"]
             and not res["final_violations"]

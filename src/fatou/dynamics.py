@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import AutoMap, MapEscapeError
+from .maps import AutoMap, MapEscapeError, eval_pipeline
 
 __all__ = [
     "RegionUNM",
@@ -196,8 +196,8 @@ def iterate(m: AutoMap, seed, n_max: int, record_every: int = 1, *,
     whose image is not finite, and reports "escaped".  It also stops once
     the step delta falls below stop_tol ("converged").
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if n_max < 0 or record_every < 1:
+        raise ValueError("iterate needs n_max >= 0 and record_every >= 1")
     z0, w0 = complex(seed[0]), complex(seed[1])
     if transformed:
         z0 = complex(from_transformed(np.complex128(z0)))
@@ -376,6 +376,11 @@ class Grid2D:
     nw: int
     step: float
 
+    def __post_init__(self):
+        if self.nz < 1 or self.nw < 1 or not 0 < self.step < math.inf:
+            raise ValueError(f"grid {self.nz}x{self.nw} at step {self.step}: "
+                             "needs nz, nw >= 1 and a finite step > 0")
+
     def seeds(self):
         i = np.arange(self.nz)[:, None]
         j = np.arange(self.nw)[None, :]
@@ -471,10 +476,11 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
     chart and its singular values (closed-form 2x2 SVD via numpy) feed the
     rank thresholds TAU1 and TAU2.
 
-    Rotation presets switch to subsequence mode: for a rational rotation
-    number p/q the subsequence n = 0 mod q converges and is used; for an
-    irrational one no limit map exists and the estimate reports modulus
-    convergence and argument equidistribution diagnostics instead.  An
+    A map whose closed form ends in a rotation (a Theta generator) switches
+    to subsequence mode: for a rotation number p/q, carried by the Theta
+    generator, the subsequence n = 0 mod q converges and is used; without
+    one no limit map exists and the estimate reports modulus convergence
+    and argument equidistribution diagnostics instead.  An
     escaped seed raises MapEscapeError naming its grid node and step.
     n_max < 1 raises ValueError.
     """
@@ -482,10 +488,10 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
         raise ValueError("n_max must be >= 1")
     fp = m.fastpath
     q = None
-    if fp is not None and fp.kind == "rotation":
-        q = fp.rotation_order()
-        if q is None:
+    if fp is not None and fp.rotation is not None:
+        if fp.rotation.frac is None:
             return _rotation_oscillation_estimate(m, grid, n_max)
+        q = fp.rotation.frac.denominator
     zhat, w0 = grid.seeds()
     z, w, n_used, sup_delta = _lockstep_iterate(
         m.eval_batch, from_transformed(zhat).ravel(), w0.ravel(), tol, n_max, stride=q or 1)
@@ -813,11 +819,10 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
             hit_params.append((n, tt))
     # invariance against the generator pipeline, which shares no code with
     # the closed-form kernel that made the rows; a block of rows at a time
-    pipeline = AutoMap(m.pipeline)
     defect = 0.0
     for lo in range(0, n_max, 256):
         hi = min(lo + 256, n_max)
-        img_z, img_w = pipeline.eval_batch(poly_z[lo:hi], poly_w[lo:hi])
+        img_z, img_w = eval_pipeline(m.pipeline, poly_z[lo:hi], poly_w[lo:hi])
         defect = max(defect, float(np.max(np.maximum(
             np.abs(img_z - poly_z[lo + 1:hi + 1]), np.abs(img_w - poly_w[lo + 1:hi + 1])))))
     return CurveResult(poly_z, poly_w, hits, hit_params, defect)

@@ -6,17 +6,19 @@ A map is an ordered pipeline of generators (applied left to right):
     Shear (z, w+g(z))  Overshear (z, w e^f(z))  F6 (z, w e^{(l+1)z})
     Theta (z, e^{i t} w)   Bl (z, z^l w)   BlInverse (z, z^-l w)
 
-The three preset maps conjugate a w-axis-fixing composition by Bl; the
-resulting z^-l singularity is removable, and evaluation routes through an
-algebraically simplified closed form (the ``fastpath``) so that the limit
-value (0, w) on the w-axis is produced exactly and less precision is lost
-than to the naive division for small |z| (see ``_fast_forward``).
+The pipeline is the only description of a map.  The presets conjugate a
+w-axis-fixing composition by Bl; the z^-l singularity is removable, and an
+AutoMap recognises that shape when it is built and evaluates it through an
+algebraically simplified closed form (its ``fastpath``) so that the limit
+(0, w) on the w-axis is exact and less precision is lost than to the naive
+division for small |z| (see ``_fast_forward``).  A Theta generator may
+carry its rotation number p/q exactly, the map's rotation order q.
 
 One generator evaluator, _apply_elem, gives values (on numpy arrays) and
-jets (on Series2 pairs).  AutoMap(m.pipeline) is m without its fast path,
-the pipeline-only evaluator.  All evaluators accept numpy arrays and
-broadcast elementwise; AutoMap values are immutable and evaluation is
-pure, so maps can be shared across threads and grids evaluated in parallel.
+jets (on Series2 pairs); eval_pipeline(m.pipeline, z, w) is m without its
+closed form.  All evaluators accept numpy arrays and broadcast elementwise;
+AutoMap values are immutable and evaluation is pure, so maps can be shared
+across threads and grids evaluated in parallel.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "ElementaryMap",
     "AutoMap",
     "FastPath",
+    "eval_pipeline",
     "FixedPointClass",
     "MapEscapeError",
     "f1",
@@ -92,6 +95,7 @@ class ElementaryMap:
     coeffs: tuple = ()  # Shear: (a2..a_{L+1}); Overshear: (c1..c_{L+1})
     l: int = 0
     theta: float = 0.0
+    frac: Fraction | None = None  # Theta: theta / (2 pi) exactly, when rational
 
     def __post_init__(self):
         if self.kind in (MapKind.SHEAR, MapKind.OVERSHEAR):
@@ -100,6 +104,9 @@ class ElementaryMap:
                 raise ValueError(f"{self.kind.value} coefficients must be finite")
         if self.kind in (MapKind.BL, MapKind.BL_INV, MapKind.F6) and self.l < 1:
             raise ValueError(f"{self.kind.value} requires l >= 1")
+        if self.frac is not None and (abs(self.theta - 2 * math.pi * self.frac)
+                                      > 1e-12 * max(1.0, abs(self.theta))):
+            raise ValueError(f"theta = {self.theta!r} is not 2 pi * {self.frac}")
 
 
 def f1() -> ElementaryMap:
@@ -133,9 +140,10 @@ def f6(l: int) -> ElementaryMap:
     return ElementaryMap(MapKind.F6, l=l)
 
 
-def theta_rotation(theta: float) -> ElementaryMap:
-    """(z, e^{i theta} w), theta in radians."""
-    return ElementaryMap(MapKind.THETA, theta=float(theta))
+def theta_rotation(theta: float, frac: Fraction | None = None) -> ElementaryMap:
+    """(z, e^{i theta} w), theta in radians; frac = p/q when theta = 2 pi p/q,
+    to within 1e-12 max(1, |theta|), else ValueError."""
+    return ElementaryMap(MapKind.THETA, theta=float(theta), frac=frac)
 
 
 def bl(l: int) -> ElementaryMap:
@@ -212,7 +220,7 @@ def _apply_elem(em: ElementaryMap, z, w):
         return z, w * cmath.exp(1j * em.theta)
     if k == MapKind.BL:   # a jet multiplies Z^l W, an array w z^l
         return z, z**em.l * w if jet else w * z**em.l
-    # BL_INV: singular on the w-axis; fastpath presets never reach this at z=0
+    # BL_INV: singular on the w-axis; a closed form never reaches this at z=0
     return z, _jet_div_zl(z, w, em.l) if jet else w / z**em.l
 
 
@@ -236,55 +244,50 @@ def _jet_div_zl(Z: Series2, W: Series2, l: int) -> Series2:
     return series2_mul(W, V).shift_div_z1(l).pad(work)
 
 
-# -- fastpath closed forms ---------------------------------------------------
-
-
-class _KernelConstants:
-    """What the step kernel multiplies by, as 0-d complex128 arrays: numpy
-    broadcasts those faster than Python scalars, with the same result."""
-
-    def __init__(self, fp):
-        l = fp.l
-        c0 = lambda v: np.array(v, dtype=np.complex128)
-        self.shear = tuple(c0(a) for a in fp.shear)
-        # (l+1) zu + f(zu) = zu (l+1 + c1 + c2 zu + ...): one Horner form
-        over = fp.overshear or (0j,)
-        self.expo = (c0(over[0] + (l + 1)),) + tuple(c0(c) for c in over[1:])
-        self.rot = c0(cmath.exp(1j * fp.theta)) if fp.theta else None
-        # z^l (and zu^l, zu = z there) can underflow to 0 only where
-        # |z|^l < 1e-300
-        self.guard = max(AXIS_THRESHOLD, 1e-300 ** (1.0 / l))
+# -- the closed form ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FastPath:
-    """Closed-form evaluator for the Bl-conjugated presets.
+    """The closed form of a Bl-conjugated pipeline (see _closed_form): order
+    l, shear and overshear coefficients, closing Theta generator (or None)
+    and its theta (or 0).  The step kernel's shear_c, expo_c and rot_c are
+    0-d complex128 arrays: numpy broadcasts those faster than Python
+    scalars, with the same result."""
 
-    kind is one of "rank0", "rank1", "rotation".  The rotation preset is the
-    rank-1 composition followed by (z, e^{i theta} w); theta_frac carries the
-    rotation number theta/(2 pi) exactly when it is rational.
-    """
-
-    kind: str
     l: int
     shear: tuple
-    overshear: tuple = ()
-    theta: float = 0.0
-    theta_frac: Fraction | None = None
-    consts: _KernelConstants = field(init=False, repr=False, compare=False)
+    overshear: tuple
+    rotation: ElementaryMap | None
 
     def __post_init__(self):
-        object.__setattr__(self, "consts", _KernelConstants(self))
+        put = lambda name, value: object.__setattr__(self, name, value)
+        c0 = lambda v: np.array(v, dtype=np.complex128)
+        put("theta", self.rotation.theta if self.rotation else 0.0)
+        put("shear_c", tuple(c0(a) for a in self.shear))
+        # (l+1) zu + f(zu) = zu (l+1 + c1 + c2 zu + ...): one Horner form
+        over = self.overshear or (0j,)
+        put("expo_c", (c0(over[0] + (self.l + 1)),) + tuple(c0(c) for c in over[1:]))
+        put("rot_c", c0(cmath.exp(1j * self.theta)) if self.theta else None)
+        # z^l (and zu^l, zu = z there) underflows to 0 only where |z|^l < 1e-300
+        put("guard", max(AXIS_THRESHOLD, 1e-300 ** (1.0 / self.l)))
 
-    def rotation_order(self) -> int | None:
-        """Denominator q when theta = 2 pi p/q, else None."""
-        if self.theta_frac is None:
-            return None
-        return self.theta_frac.denominator
+
+def _closed_form(pipeline: tuple) -> FastPath | None:
+    """The FastPath of (Bl(l), F1, F2, F3, F4, Shear(a), [Overshear(c)],
+    F6(l), BlInverse(l), [Theta]) with a nonempty and one l throughout;
+    None for any other pipeline."""
+    p = list(pipeline)
+    rotation = p.pop() if p and p[-1].kind == MapKind.THETA else None
+    over = p.pop(6) if len(p) == 9 and p[6].kind == MapKind.OVERSHEAR else None
+    if (tuple(em.kind for em in p) != ("Bl", "F1", "F2", "F3", "F4", "Shear", "F6", "BlInverse")
+            or not p[5].coeffs or not p[0].l == p[6].l == p[7].l):
+        return None
+    return FastPath(p[0].l, p[5].coeffs, over.coeffs if over else (), rotation)
 
 
 def _fast_forward(fp: FastPath, z, w):
-    """One step of a Bl-conjugated preset in closed form: with s = z + z^l w
+    """One step of a Bl-conjugated pipeline in closed form: with s = z + z^l w
     and zu = z e^{z e^s}, the image is zu and
     (z^l w - z (e^s - 1) + g(zu)) / zu^l * e^{(l+1) zu + f(zu)} e^{i theta};
     the pipeline's factor e^{-l z e^s} / z^l is 1 / zu^l.
@@ -300,7 +303,6 @@ def _fast_forward(fp: FastPath, z, w):
     decides whether any seed needs that test.  Overflowed z stays on the
     escape path.
     """
-    k = fp.consts
     with np.errstate(all="ignore"):
         zl = z * z if fp.l == 2 else z**fp.l
         zlw = zl * w
@@ -308,44 +310,53 @@ def _fast_forward(fp: FastPath, z, w):
         zu = z * np.exp(z + zem1)
         brac = zlw - zem1
         zu2 = zu * zu
-        brac += _horner(k.shear, zu) * zu2
+        brac += _horner(fp.shear_c, zu) * zu2
         zul = zu2 if fp.l == 2 else zu**fp.l
-        w1 = brac / zul * np.exp(zu * _horner(k.expo, zu))
-        if k.rot is not None:
-            w1 = w1 * k.rot
+        w1 = brac / zul * np.exp(zu * _horner(fp.expo_c, zu))
+        if fp.rot_c is not None:
+            w1 = w1 * fp.rot_c
         az = np.abs(z)
-        if np.fmin.reduce(az, axis=None, initial=np.inf) < k.guard:
+        if np.fmin.reduce(az, axis=None, initial=np.inf) < fp.guard:
             axis = (az < AXIS_THRESHOLD) | ((zl == 0) & (az < np.inf))
             zu = np.where(axis, 0.0 * z, zu)
-            w1 = np.where(axis, w if k.rot is None else w * k.rot, w1)
+            w1 = np.where(axis, w if fp.rot_c is None else w * fp.rot_c, w1)
     return zu, w1
 
 
 # -- AutoMap ----------------------------------------------------------------
 
 
+def eval_pipeline(pipeline, z, w):
+    """The generators of pipeline applied to arrays in turn: a map without
+    its closed form.  Nonfinite output marks escape."""
+    z = np.asarray(z, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for em in pipeline:
+            z, w = _apply_elem(em, z, w)
+    return z, w
+
+
 @dataclass(frozen=True)
 class AutoMap:
-    """Composable automorphism: pipeline of generators, applied in order."""
+    """Composable automorphism: pipeline of generators, applied in order;
+    fastpath, the pipeline's closed form or None, is worked out once here."""
 
     pipeline: tuple
-    fastpath: FastPath | None = None
+    fastpath: FastPath | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pipeline", tuple(self.pipeline))
+        object.__setattr__(self, "fastpath", _closed_form(self.pipeline))
 
     # -- evaluation ---------------------------------------------------
 
     def eval_batch(self, z, w):
         """Vectorized forward evaluation; nonfinite output marks escape."""
-        z = np.asarray(z, dtype=np.complex128)
-        w = np.asarray(w, dtype=np.complex128)
-        if self.fastpath is not None:
-            return _fast_forward(self.fastpath, z, w)
-        with np.errstate(all="ignore"):
-            for em in self.pipeline:
-                z, w = _apply_elem(em, z, w)
-        return z, w
+        if self.fastpath is None:
+            return eval_pipeline(self.pipeline, z, w)
+        return _fast_forward(self.fastpath, np.asarray(z, dtype=np.complex128),
+                             np.asarray(w, dtype=np.complex128))
 
     def eval(self, z: complex, w: complex) -> tuple:
         """Forward evaluation at one point; raises MapEscapeError on overflow."""
@@ -386,9 +397,8 @@ class AutoMap:
         Z = Series2.var_z(work)
         W = Series2.var_w(work)
         if at is not None:
-            q1, q2 = complex(at[0]), complex(at[1])
-            Z = Z + Series2.const(work, q1)
-            W = W + Series2.const(work, q2)
+            Z = Z + Series2.const(work, complex(at[0]))
+            W = W + Series2.const(work, complex(at[1]))
         for em in self.pipeline:
             Z, W = _apply_elem(em, Z, W)
         return Z.truncate(order), W.truncate(order)
@@ -492,7 +502,7 @@ def rank0_map(l: int = 2) -> AutoMap:
     """
     a, c = _rank0_coefficients(l)
     pipeline = (bl(l), f1(), f2(), f3(), f4(), shear(a), overshear(c), f6(l), bl_inverse(l))
-    return AutoMap(pipeline, FastPath("rank0", l, a, c))
+    return AutoMap(pipeline)
 
 
 def rank1_map() -> AutoMap:
@@ -500,20 +510,18 @@ def rank1_map() -> AutoMap:
     image the w-axis."""
     a = _rank1_shear()
     pipeline = (bl(2), f1(), f2(), f3(), f4(), shear(a), f6(2), bl_inverse(2))
-    return AutoMap(pipeline, FastPath("rank1", 2, a))
+    return AutoMap(pipeline)
 
 
 def rotation_map(theta: float, theta_frac: Fraction | None = None) -> AutoMap:
     """The rank-1 preset followed by (z, e^{i theta} w), theta in radians.
 
     Pass theta_frac = p/q when theta = 2 pi p/q so that subsequence analysis
-    can use the exact rotation order.
+    can use the exact rotation order; the Theta generator carries it.
     """
     a = _rank1_shear()
-    pipeline = (bl(2), f1(), f2(), f3(), f4(), shear(a), f6(2), bl_inverse(2),
-                theta_rotation(theta))
-    return AutoMap(pipeline, FastPath("rotation", 2, a, theta=float(theta),
-                                      theta_frac=theta_frac))
+    return AutoMap((bl(2), f1(), f2(), f3(), f4(), shear(a), f6(2), bl_inverse(2),
+                    theta_rotation(theta, theta_frac)))
 
 
 # -- fixed-point classification ----------------------------------------------
@@ -608,43 +616,29 @@ def _elem_to_dict(em: ElementaryMap) -> dict:
         d["l"] = em.l
     if em.kind == MapKind.THETA:
         d["theta"] = em.theta
+        if em.frac is not None:
+            d["frac"] = [em.frac.numerator, em.frac.denominator]
     return d
 
 
 def _elem_from_dict(d: dict) -> ElementaryMap:
     kind = MapKind(d["kind"])
     coeffs = tuple(complex(a, b) for a, b in d.get("coeffs", []))
-    return ElementaryMap(kind, coeffs, l=int(d.get("l", 0)), theta=float(d.get("theta", 0.0)))
+    frac = None if d.get("frac") is None else Fraction(*d["frac"])
+    return ElementaryMap(kind, coeffs, l=int(d.get("l", 0)),
+                         theta=float(d.get("theta", 0.0)), frac=frac)
 
 
 def map_to_json(m: AutoMap) -> str:
-    fp = None
-    if m.fastpath is not None:
-        fp = {
-            "kind": m.fastpath.kind,
-            "l": m.fastpath.l,
-            "shear": [[c.real, c.imag] for c in m.fastpath.shear],
-            "overshear": [[c.real, c.imag] for c in m.fastpath.overshear],
-            "theta": m.fastpath.theta,
-            "theta_frac": None if m.fastpath.theta_frac is None
-            else [m.fastpath.theta_frac.numerator, m.fastpath.theta_frac.denominator],
-        }
-    return json.dumps({"pipeline": [_elem_to_dict(e) for e in m.pipeline], "fastpath": fp})
+    return json.dumps({"pipeline": [_elem_to_dict(e) for e in m.pipeline]})
 
 
 def map_from_json(text: str) -> AutoMap:
+    """The map of a map_to_json text.  Of a legacy "fastpath" block only the
+    theta_frac is read, into the final Theta generator."""
     obj = json.loads(text)
-    pipeline = tuple(_elem_from_dict(d) for d in obj["pipeline"])
-    fp = None
-    if obj.get("fastpath"):
-        d = obj["fastpath"]
-        frac = d.get("theta_frac")
-        fp = FastPath(
-            d["kind"],
-            int(d["l"]),
-            tuple(complex(a, b) for a, b in d["shear"]),
-            tuple(complex(a, b) for a, b in d.get("overshear", [])),
-            float(d.get("theta", 0.0)),
-            None if frac is None else Fraction(frac[0], frac[1]),
-        )
-    return AutoMap(pipeline, fp)
+    pipeline = [_elem_from_dict(d) for d in obj["pipeline"]]
+    frac = (obj.get("fastpath") or {}).get("theta_frac")
+    if frac is not None and pipeline and pipeline[-1].kind == MapKind.THETA:
+        pipeline[-1] = theta_rotation(pipeline[-1].theta, Fraction(*frac))
+    return AutoMap(pipeline)

@@ -21,6 +21,10 @@ arrays and must return equal bits.  ``apply_elem_jet`` is the jet twin of
 each generator that ``fatou.maps`` once kept beside its value form;
 ``jet`` pushes identity coordinates through it, and ``AutoMap.jet``, which
 runs the one generator evaluator on Series2 pairs, must return equal bits.
+``eval_pipeline`` runs each point alone through ``apply_elem_value``, each
+generator on one-element arrays in the library's operand order (a Python
+complex product has other bits, and so has a numpy one with its operands
+swapped), and ``fatou.maps.eval_pipeline`` must return equal bits.
 Kept here as the references that tests compare against.
 """
 
@@ -267,3 +271,52 @@ def jet(m, order, at=None):
     for em in m.pipeline:
         Z, W = apply_elem_jet(em, Z, W)
     return Z.truncate(order), W.truncate(order)
+
+
+def _value_tail(coeffs, z, start):
+    """sum_k coeffs[k] z^(start+k) by Horner from the last coefficient, as
+    0 + c, down; exact zeros when there are no coefficients."""
+    if not coeffs:
+        return np.zeros_like(z)
+    acc = coeffs[-1] + 0j
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc * z if start == 1 else acc * z**start
+
+
+def apply_elem_value(em, z, w):
+    """One generator on one-element complex128 arrays."""
+    k = em.kind
+    if k == MapKind.F1:
+        return z, w + z
+    if k == MapKind.F2:
+        return z * np.exp(w), w
+    if k == MapKind.F3:
+        return z, w - z
+    if k == MapKind.F4:
+        return z * np.exp(-w), w
+    if k == MapKind.SHEAR:
+        return z, w + _value_tail(em.coeffs, z, 2)
+    if k == MapKind.OVERSHEAR:
+        return z, w * np.exp(_value_tail(em.coeffs, z, 1))
+    if k == MapKind.F6:
+        return z, w * np.exp((em.l + 1) * z)
+    if k == MapKind.THETA:
+        return z, w * cmath.exp(1j * em.theta)
+    if k == MapKind.BL:
+        return z, w * z**em.l
+    return z, w / z**em.l
+
+
+def eval_pipeline(pipeline, z, w):
+    """The pipeline at each point of the 1-d arrays z, w alone."""
+    out_z = np.empty(len(z), dtype=complex)
+    out_w = np.empty(len(w), dtype=complex)
+    with np.errstate(all="ignore"):
+        for i in range(len(z)):
+            zi = np.array([z[i]], dtype=complex)
+            wi = np.array([w[i]], dtype=complex)
+            for em in pipeline:
+                zi, wi = apply_elem_value(em, zi, wi)
+            out_z[i], out_w[i] = zi[0], wi[0]
+    return out_z, out_w

@@ -219,15 +219,36 @@ def test_sector_past_the_overflow_of_r_to_the_k(tmp_path):
     assert d["per_r"]["1.09"]["drift_count"] == 10000 - 8
 
 
+LIMIT = ("limit", "--map", "rank1", "--grid-origin", "50,0.5", "--n-max", "10")
+NO_K = "k_max must be >= 1"
+BAD_GRID = "needs nz, nw >= 1 and a finite step > 0"
+
+
 @pytest.mark.parametrize("cmd", [
-    ("sector", "--theta", "golden", "--r", "1.0", "--kmax", "-3"),
-    ("sector", "--theta", "golden", "--r", "1.0", "--kmax", "0"),
-    ("diophantine", "--theta", "golden", "--kmax", "0"),
+    (("sector", "--theta", "golden", "--r", "1.0", "--kmax", "-3"), NO_K),
+    (("sector", "--theta", "golden", "--r", "1.0", "--kmax", "0"), NO_K),
+    (("diophantine", "--theta", "golden", "--kmax", "0"), NO_K),
+    (LIMIT + ("--grid", "10"), "--grid must be NZxNW"),
+    (LIMIT + ("--grid", "0x3"), BAD_GRID),
+    (LIMIT + ("--grid-step", "0"), BAD_GRID),
 ])
 def test_empty_k_range_exits_1(tmp_path, capsys, cmd):
-    code, text = run(tmp_path, *cmd)
+    # and an empty or malformed grid: one error line, no traceback or warning
+    argv, message = cmd
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, *argv)
     assert code == 1 and text == ""
-    assert "k_max must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 2
+    assert message in err
+
+
+def test_sector_root_of_unity_is_not_ok(tmp_path):
+    code, text = run(tmp_path, "sector", "--theta", "3/7", "--r", "1.0", "--kmax", "100")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["c_prime"] == 0.0 and d["ok"] is False
 
 
 def test_invariance_command(tmp_path):

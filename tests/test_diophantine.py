@@ -185,6 +185,15 @@ def test_sector_near_one_clean():
         assert not res["final_violations"]
 
 
+def test_sector_root_of_unity_is_not_ok():
+    # theta = 3/7: lam^7 = 1 and max_c is 0, so c' = 0 bounds nothing away
+    # from 0, though no k violates a bound
+    rep = check_sector_lemma(Fraction(3, 7), [1.0], 100)
+    assert rep.c_prime == 0.0 and not any(rep.results[1.0][key] for key in (
+        "sector_violations", "complement_violations", "final_violations"))
+    assert not rep.ok
+
+
 def test_sector_drift_reported():
     rep = check_sector_lemma(GOLDEN, [0.9 + 1e-12], 10**4)
     res = rep.results[0.9 + 1e-12]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fatou import dynamics as dyn
-from fatou.maps import MapEscapeError, rank0_map, rank1_map, rotation_map
+from fatou.maps import AutoMap, MapEscapeError, rank0_map, rank1_map, rotation_map
 from fatou.dynamics import (
     EMPIRICAL_MIN_N,
     Grid2D,
@@ -213,6 +213,32 @@ def test_rotation_irrational_oscillation():
     assert est.stop_reason == "no_limit_full_sequence"
     assert est.oscillation["modulus_tail_variation"] < 1e-4
     assert est.oscillation["distinct_arguments"] >= 100
+
+
+def test_a_pipeline_copy_gets_the_presets_verdict():
+    # the rotation mode and order come from the pipeline, not from how the
+    # map was built
+    grid = Grid2D(50.0 + 0j, 0.5 + 0j, 3, 3, 1e-3)
+    for H, reason, order in ((rotation_map(2 * math.pi * GOLD), "no_limit_full_sequence", None),
+                             (rotation_map(2 * math.pi / 3, Fraction(1, 3)), "converged", 3)):
+        ests = [estimate_limit_map(m, grid, tol=1e-6, n_max=3000)
+                for m in (H, AutoMap(H.pipeline))]
+        for est in ests:
+            assert (est.stop_reason, est.rotation_order) == (reason, order)
+        assert np.array_equal(ests[0].limits_w, ests[1].limits_w)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 1e-3), (3, 0, 1e-3), (3, 3, 0.0), (3, 3, -1e-3),
+                                   (3, 3, math.inf), (3, 3, math.nan)])
+def test_grid_rejects_empty_shape_and_bad_step(shape):
+    with pytest.raises(ValueError, match="nz, nw >= 1"):
+        Grid2D(50.0 + 0j, 0.5 + 0j, *shape)
+
+
+def test_iterate_rejects_record_every_below_1():
+    for record_every in (0, -2):
+        with pytest.raises(ValueError, match="record_every >= 1"):
+            iterate(H0, (0.1, 0.1), 10, record_every)
 
 
 # -- product and sum ----------------------------------------------------------

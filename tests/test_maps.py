@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from fatou.maps import (
     bl,
     bl_inverse,
     classify_fixed_point,
+    eval_pipeline,
     f1,
     f2,
     f3,
@@ -91,7 +94,7 @@ def test_fastpath_matches_pipeline():
     w = 10 * np.sqrt(halton(n, 5)) * np.exp(2j * np.pi * halton(n, 7))
     for H in (rank0_map(2), rank1_map(), rotation_map(2 * np.pi * 0.618)):
         zf, wf = H.eval_batch(z, w)
-        zp, wp = AutoMap(H.pipeline).eval_batch(z, w)
+        zp, wp = eval_pipeline(H.pipeline, z, w)
         with np.errstate(invalid="ignore"):
             ok = np.isfinite(zf * wf * zp * wp)
         assert ok.mean() > 0.9
@@ -111,7 +114,7 @@ def test_fastpath_matches_pipeline_l3():
     w = 10 * np.sqrt(halton(n, 5)) * np.exp(2j * np.pi * halton(n, 7))
     H = rank0_map(3)
     zf, wf = H.eval_batch(z, w)
-    zp, wp = AutoMap(H.pipeline).eval_batch(z, w)
+    zp, wp = eval_pipeline(H.pipeline, z, w)
     ok = np.isfinite(zf * wf * zp * wp)
     rel_w = np.abs(wf - wp)[ok] / np.maximum(1.0, np.abs(wp[ok]))
     assert rel_w.max() < 1e-9
@@ -272,6 +275,41 @@ def test_generator_jets_equal_the_generator_chain_oracle(name):
                 assert_jet_equals_oracle(m, order, at)
 
 
+def value_points():
+    """Every complex z of 0, -0, +-inf, NaN and 0.3 parts against seven w,
+    then 400 random points with 1e-3 <= |z| <= 1 and |w| <= 10."""
+    parts = (0.0, -0.0, math.inf, -math.inf, math.nan, 0.3)
+    ws = (0.0, complex(-0.0, -0.0), complex(0.0, -0.0), math.inf,
+          complex(-0.0, -math.inf), math.nan, 0.5 - 0.25j)
+    special = [(complex(a, b), v) for a in parts for b in parts for v in ws]
+    rng = np.random.default_rng(11)
+    z = 10 ** (-3 * rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+    w = 10 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+    return (np.concatenate([[p[0] for p in special], z]),
+            np.concatenate([[p[1] for p in special], w]))
+
+
+VALUE_POINTS = value_points()
+
+
+@pytest.mark.parametrize("name", list(JET_PRESETS) + list(JET_GENERATORS))
+def test_pipeline_values_equal_the_one_point_oracle(name):
+    # eval_pipeline gives each point the bits of a one-point run, signed
+    # zeros included; a NaN part need only be NaN, as its sign bit depends
+    # on the loop numpy runs (one-element and longer arrays differ there)
+    z, w = VALUE_POINTS
+    maps = [JET_PRESETS[name]] if name in JET_PRESETS else [
+        AutoMap((JET_GENERATORS[name],)), JET_AFTER_G[name]]
+    for m in maps:
+        got = eval_pipeline(m.pipeline, z, w)
+        want = series_oracle.eval_pipeline(m.pipeline, z, w)
+        for g, o in zip(got, want):
+            g, o = g.view(np.float64), o.view(np.float64)
+            nan = np.isnan(g)
+            assert np.array_equal(nan, np.isnan(o)), name
+            assert np.array_equal(g[~nan].view(np.uint64), o[~nan].view(np.uint64)), name
+
+
 def test_empty_tails_are_exact_zeros():
     # Shear and Overshear with no coefficients leave w alone, also where z
     # is not finite (0 * z would be NaN there)
@@ -381,12 +419,81 @@ def test_jacobian_jet_vs_fd():
 
 
 def test_map_json_roundtrip():
-    for H in (four_map_composite(), rank0_map(2), rotation_map(2 * np.pi / 3)):
+    for H in (four_map_composite(), rank0_map(2), rotation_map(2 * np.pi / 3),
+              rotation_map(2 * np.pi / 3, Fraction(1, 3))):
         H2 = map_from_json(map_to_json(H))
         assert H2.pipeline == H.pipeline
         assert H2.fastpath == H.fastpath
         z, w = 0.05 + 0.02j, 0.3 - 0.1j
         assert H.eval(z, w) == H2.eval(z, w)
+
+
+# map JSON texts of the earlier format, which wrote the closed form a second
+# time as a "fastpath" block and the rotation number only there
+LEGACY_MAP_JSON = {
+    "rank0_l2": (rank0_map(2), (
+        '{"pipeline": [{"kind": "Bl", "l": 2}, {"kind": "F1"}, {"kind": "F2"}, {"kind": "F3"}, '
+        '{"kind": "F4"}, {"kind": "Shear", "coeffs": [[1.0, -0.0], [-1.5, -0.0]]}, '
+        '{"kind": "Overshear", "coeffs": [[1.0, -0.0], [0.5, -0.0], [-2.6666666666666665, -0.0]]}, '
+        '{"kind": "F6", "l": 2}, {"kind": "BlInverse", "l": 2}], "fastpath": {"kind": "rank0", '
+        '"l": 2, "shear": [[1.0, -0.0], [-1.5, -0.0]], "overshear": [[1.0, -0.0], [0.5, -0.0], '
+        '[-2.6666666666666665, -0.0]], "theta": 0.0, "theta_frac": null}}')),
+    "rotation_1/3": (rotation_map(2 * math.pi / 3, Fraction(1, 3)), (
+        '{"pipeline": [{"kind": "Bl", "l": 2}, {"kind": "F1"}, {"kind": "F2"}, {"kind": "F3"}, '
+        '{"kind": "F4"}, {"kind": "Shear", "coeffs": [[1.0, -0.0], [-1.5, -0.0], '
+        '[0.6666666666666665, -0.0]]}, {"kind": "F6", "l": 2}, {"kind": "BlInverse", "l": 2}, '
+        '{"kind": "Theta", "theta": 2.0943951023931953}], "fastpath": {"kind": "rotation", '
+        '"l": 2, "shear": [[1.0, -0.0], [-1.5, -0.0], [0.6666666666666665, -0.0]], '
+        '"overshear": [], "theta": 2.0943951023931953, "theta_frac": [1, 3]}}')),
+}
+
+
+@pytest.mark.parametrize("name", LEGACY_MAP_JSON)
+def test_legacy_map_json_loads_as_its_pipeline(name):
+    H, text = LEGACY_MAP_JSON[name]
+    z, w = bidisk_sample(64)
+    edited = json.loads(text)
+    edited["fastpath"]["shear"][0][0] += 0.5   # a second description that disagrees
+    for H2 in (map_from_json(text), map_from_json(json.dumps(edited))):
+        assert H2 == H and H2.fastpath == H.fastpath
+        for got, want in zip(H2.eval_batch(z, w), H.eval_batch(z, w)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert map_from_json(map_to_json(H)) == H
+    assert "fastpath" not in map_to_json(H)
+
+
+# -- the closed form is recognised from the pipeline ------------------------
+
+
+def test_automap_is_its_pipeline():
+    assert [f.name for f in dataclasses.fields(AutoMap) if f.init] == ["pipeline"]
+    for H in JET_PRESETS.values():
+        H2 = AutoMap(H.pipeline)
+        assert H2 == H and H2.fastpath == H.fastpath
+    assert four_map_composite().fastpath is None
+    fp = rotation_map(2 * math.pi / 3, Fraction(1, 3)).fastpath
+    assert (fp.l, fp.overshear, fp.rotation.frac) == (2, (), Fraction(1, 3))
+    assert rank0_map(3).fastpath.rotation is None
+
+
+def test_other_pipelines_have_no_closed_form():
+    body = rank1_map().pipeline
+    for pipeline in (body[:-1], body[1:], body[:5] + (shear(()),) + body[6:],
+                     body[:6] + (f6(3),) + body[7:], body[:7] + (bl_inverse(3),),
+                     (bl(3),) + body[1:], body + (f1(),), body + (theta_rotation(1.0),) * 2,
+                     body[:6] + (overshear((1.0,)), overshear((1.0,))) + body[6:]):
+        assert AutoMap(pipeline).fastpath is None
+
+
+def test_theta_frac_must_match_theta():
+    # a 1-radian rotation is no rotation by 2 pi / 3
+    with pytest.raises(ValueError):
+        rotation_map(1.0, Fraction(1, 3))
+    with pytest.raises(ValueError):
+        theta_rotation(2 * math.pi / 3 + 1e-9, Fraction(1, 3))
+    # the CLI's 2 pi float(p/q) passes
+    for frac in (Fraction(1, 3), Fraction(2, 5), Fraction(-7, 3), Fraction(0), Fraction(355, 113)):
+        assert rotation_map(2 * math.pi * float(frac), frac).fastpath.rotation.frac == frac
 
 
 def test_elementary_validation():
