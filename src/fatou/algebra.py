@@ -15,7 +15,11 @@ Truncation is exact: an operation on series of order D retains every
 coefficient of total degree <= D and nothing else, so results can be
 compared against brute-force oracles coefficient by coefficient.
 
-Coefficient arrays are numpy complex128.
+Coefficient arrays are numpy complex128.  Products, inverses and
+exponentials share one online layer product (van der Hoeven's relaxed
+product), which may read the result's own lower layers.  psi and jet files
+share one row codec; its reader takes exactly the rows the order asks for
+and raises :class:`SeriesError` otherwise.
 
 NaN/Inf never enter a series: constructors and arithmetic validate and
 raise :class:`NonFiniteError` instead of propagating.
@@ -151,8 +155,7 @@ class Series2:
 
     def layer(self, d: int) -> np.ndarray:
         """Homogeneous part of total degree d as a vector over w-powers 0..d."""
-        start = d * (d + 1) // 2
-        return self.coeffs[start : start + d + 1]
+        return _layer(self.coeffs, d)
 
     def truncate(self, new_order: int) -> "Series2":
         if new_order > self.order:
@@ -225,15 +228,11 @@ class Series2:
         if abs(c0) == 0.0:
             raise SeriesError("inverse of a series with zero constant term")
         D = self.order
-        inv0 = 1.0 / c0
         out = _zeros(tri_size(D))
-        out[0] = inv0
+        out[0] = inv0 = 1.0 / c0
+        own, lays = _layers(self.coeffs, D, nonzero=True), _layers(out, D)
         for d in range(1, D + 1):
-            acc = _zeros(d + 1)
-            for k in range(1, d + 1):
-                acc = acc + np.convolve(self.layer(k), _layer_of(out, d - k))
-            start = d * (d + 1) // 2
-            out[start : start + d + 1] = acc * (-inv0)
+            lays[d][:] = _layer_sum(own, lays, d, 1) * (-inv0)
         _check_finite(out, "Series2.inverse")
         return Series2(D, out, _validate=False)
 
@@ -292,8 +291,7 @@ class Series2:
                 if coef == 0:
                     continue
                 acc = acc + np.convolve(pow1[l1], pow2[l2]) * coef
-            start = deg * (deg + 1) // 2
-            out[start : start + deg + 1] = acc
+            _layer(out, deg)[:] = acc
         _check_finite(out, "Series2.compose_linear")
         return Series2(D, out, _validate=False)
 
@@ -306,36 +304,47 @@ class Series2:
         """
         if l < 0:
             raise SeriesError("shift power must be >= 0")
-        if l == 0:
-            return self.copy()
         D = self.order
         if D < l:
             raise SeriesError("order too small for the requested division")
-        scale = float(np.max(np.abs(self.coeffs)))
-        new_order = D - l
-        out = _zeros(tri_size(new_order))
-        for l1 in range(D + 1):
-            for l2 in range(D + 1 - l1):
-                c = self.coeffs[tri_index(l1, l2)]
-                mag = abs(c)
-                if l1 < l:
-                    if mag > 1e-9 * max(scale, 1e-300):
-                        raise SeriesError(
-                            f"series not divisible by z^{l}: monomial ({l1},{l2}) "
-                            f"has coefficient of magnitude {mag:.3e}"
-                        )
-                    continue
-                if l1 - l + l2 <= new_order:
-                    out[tri_index(l1 - l, l2)] = c
-        return Series2(new_order, out, _validate=False)
+        tol = 1e-9 * max(float(np.max(np.abs(self.coeffs))), 1e-300)
+        mag = np.hypot(self.coeffs.real, self.coeffs.imag)   # abs(c), bit for bit
+        bad = [(i, j) for i in range(l) for j in range(D + 1 - i) if mag[tri_index(i, j)] > tol]
+        if bad:
+            raise SeriesError(f"series not divisible by z^{l}: monomial ({bad[0][0]},{bad[0][1]}) "
+                              f"has coefficient of magnitude {mag[tri_index(*bad[0])]:.3e}")
+        # z^l1 w^l2 of degree d becomes z^(l1-l) w^l2: layer d's first d-l+1 entries
+        out = _zeros(tri_size(D - l))
+        for d in range(l, D + 1):
+            _layer(out, d - l)[:] = _layer(self.coeffs, d)[: d - l + 1]
+        return Series2(D - l, out, _validate=False)
 
     def __repr__(self) -> str:
         return f"Series2(order={self.order}, nnz={np.count_nonzero(self.coeffs)})"
 
 
-def _layer_of(flat: np.ndarray, d: int) -> np.ndarray:
+def _layer(flat: np.ndarray, d: int) -> np.ndarray:
+    """Degree-d slice of a triangular coefficient array (a view)."""
     start = d * (d + 1) // 2
     return flat[start : start + d + 1]
+
+
+def _layers(flat: np.ndarray, D: int, nonzero: bool = False) -> list:
+    """Views of layers 0..D; with nonzero, None for a layer of zeros."""
+    lays = [_layer(flat, d) for d in range(D + 1)]
+    return [x if not nonzero or x.any() else None for x in lays]
+
+
+def _layer_sum(a: list, b: list, d: int, k0: int) -> np.ndarray:
+    """sum_{k = k0..d} np.convolve(a[k], b[d-k]), k ascending, for lists of
+    layers: the degree-d step of the online product.  b's layers below
+    d - k0 must be final, so b may be the series being solved for.  A zero
+    layer a[k] is None: it adds only zeros to a sum that never holds -0."""
+    acc = _zeros(d + 1)
+    for k in range(k0, d + 1):
+        if a[k] is not None:
+            acc = acc + np.convolve(a[k], b[d - k])
+    return acc
 
 
 def series2_mul(a: Series2, b: Series2) -> Series2:
@@ -344,14 +353,9 @@ def series2_mul(a: Series2, b: Series2) -> Series2:
         raise OrderMismatchError(f"orders differ: {a.order} vs {b.order}")
     D = a.order
     out = _zeros(tri_size(D))
+    al, bl = _layers(a.coeffs, D, nonzero=True), _layers(b.coeffs, D)
     for d in range(D + 1):
-        acc = _zeros(d + 1)
-        for d1 in range(d + 1):
-            la = a.layer(d1)
-            lb = b.layer(d - d1)
-            acc = acc + np.convolve(la, lb)
-        start = d * (d + 1) // 2
-        out[start : start + d + 1] = acc
+        _layer(out, d)[:] = _layer_sum(al, bl, d, 0)
     _check_finite(out, "series2_mul")
     return Series2(D, out, _validate=False)
 
@@ -367,17 +371,12 @@ def series2_exp(a: Series2) -> Series2:
     if abs(a.coeffs[0]) != 0.0:
         raise SeriesError("series2_exp requires a zero constant term")
     D = a.order
+    euler = [lay * k if lay.any() else None for k, lay in enumerate(_layers(a.coeffs, D))]
     out = _zeros(tri_size(D))
     out[0] = 1.0
+    lays = _layers(out, D)
     for n in range(1, D + 1):
-        acc = _zeros(n + 1)
-        for k in range(1, n + 1):
-            lay = a.layer(k)
-            if not lay.any():
-                continue
-            acc = acc + np.convolve(lay * k, _layer_of(out, n - k))
-        start = n * (n + 1) // 2
-        out[start : start + n + 1] = acc / n
+        lays[n][:] = _layer_sum(euler, lays, n, 1) / n
     _check_finite(out, "series2_exp")
     return Series2(D, out, _validate=False)
 
@@ -472,48 +471,47 @@ def _f17(x: float) -> str:
     return format(x, ".17g")
 
 
+def _rows_to_json(order: int, pairs: np.ndarray) -> str:
+    """{order, coeffs: [[re1,im1,re2,im2], ...]}, one row per pair of complex."""
+    rows = np.ascontiguousarray(pairs, dtype=np.complex128).view(np.float64).tolist()
+    body = ",".join("[%s]" % ",".join(map(_f17, row)) for row in rows)
+    return '{"order":%d,"coeffs":[%s]}' % (order, body)
+
+
+def _rows_from_json(text: str, size) -> tuple:
+    """(order, pairs) of a _rows_to_json text: the (size(order), 4) rows viewed
+    as complex128, so signed zeros keep their bits.  Else SeriesError."""
+    try:
+        obj = json.loads(text)
+        order = int(obj["order"])
+        rows = np.array(obj["coeffs"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SeriesError(f"not a series text with order and coeffs: {exc}") from None
+    n = size(order)
+    if rows.shape != (n, 4):
+        raise SeriesError(f"order {order} needs {n} rows of 4 numbers, got shape {rows.shape}")
+    return order, rows.view(np.complex128)
+
+
 def series1_to_json(psi: Series1C2) -> str:
     """JSON text {order, coeffs: [[re1,im1,re2,im2], ...]}, coefficient of w^k at index k."""
-    rows = []
-    for k in range(psi.order + 1):
-        a, b = psi.coeffs[k]
-        rows.append(f"[{_f17(a.real)},{_f17(a.imag)},{_f17(b.real)},{_f17(b.imag)}]")
-    return '{"order":%d,"coeffs":[%s]}' % (psi.order, ",".join(rows))
+    return _rows_to_json(psi.order, psi.coeffs)
 
 
 def series1_from_json(text: str) -> Series1C2:
-    obj = json.loads(text)
-    order = int(obj["order"])
-    arr = np.zeros((order + 1, 2), dtype=np.complex128)
-    for k, row in enumerate(obj["coeffs"]):
-        arr[k, 0] = complex(row[0], row[1])
-        arr[k, 1] = complex(row[2], row[3])
-    return Series1C2(order, arr)
+    order, pairs = _rows_from_json(text, lambda order: order + 1)
+    return Series1C2(order, pairs)
 
 
 def jet_to_json(jet: tuple) -> str:
-    """Serialize a jet (pair of Series2) with both components packed per monomial.
-
-    Index order is the triangular graded-lex order of Series2.
-    """
+    """A jet (pair of Series2) as JSON, one row per monomial in Series2's order."""
     P, Q = jet
     if P.order != Q.order:
         raise OrderMismatchError("jet components have different orders")
-    rows = []
-    for i in range(tri_size(P.order)):
-        a = P.coeffs[i]
-        b = Q.coeffs[i]
-        rows.append(f"[{_f17(a.real)},{_f17(a.imag)},{_f17(b.real)},{_f17(b.imag)}]")
-    return '{"order":%d,"coeffs":[%s]}' % (P.order, ",".join(rows))
+    return _rows_to_json(P.order, np.stack([P.coeffs, Q.coeffs], axis=1))
 
 
 def jet_from_json(text: str) -> tuple:
-    obj = json.loads(text)
-    order = int(obj["order"])
-    n = tri_size(order)
-    p = np.zeros(n, dtype=np.complex128)
-    q = np.zeros(n, dtype=np.complex128)
-    for i, row in enumerate(obj["coeffs"]):
-        p[i] = complex(row[0], row[1])
-        q[i] = complex(row[2], row[3])
-    return (Series2(order, p), Series2(order, q))
+    """The jet of a jet_to_json text: exactly tri_size(order) rows."""
+    order, pairs = _rows_from_json(text, tri_size)
+    return (Series2(order, pairs[:, 0].copy()), Series2(order, pairs[:, 1].copy()))

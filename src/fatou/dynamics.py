@@ -716,6 +716,10 @@ def waxis_coverage(m: AutoMap, R: float, z0: complex, ring_samples: int = 256,
     """
     if R <= 0:
         raise ValueError("R must be > 0")
+    if ring_samples < 3:   # fewer points make no closed curve to wind around
+        raise ValueError("ring_samples must be >= 3")
+    if targets < 1:
+        raise ValueError("targets must be >= 1")
     phis = 2 * np.pi * np.arange(ring_samples) / ring_samples
     w_circle = 2 * R * np.exp(1j * phis)
     z_ring = np.full(ring_samples, complex(z0))

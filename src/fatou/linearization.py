@@ -198,15 +198,12 @@ def _nonlinear_part(F_jet, lam: complex):
     return N1, N2
 
 
-def _jet_max_norm(F_jet, min_degree: int = 2) -> float:
+def _jet_max_norm(F_jet) -> float:
+    """max |coefficient| of degree >= 2 over both components (hypot has the
+    bits of a scalar abs(); np.abs on a complex array may not)."""
     P, Q = F_jet
-    best = 0.0
-    for d in range(min_degree, P.order + 1):
-        lp = P.layer(d)
-        lq = Q.layer(d)
-        for a, b in zip(lp, lq):
-            best = max(best, abs(a), abs(b))
-    return best
+    c = np.concatenate([P.coeffs[3:], Q.coeffs[3:]])
+    return float(np.max(np.hypot(c.real, c.imag), initial=0.0))
 
 
 def solve_psi(F_jet, lam: complex, D: int, *,
@@ -435,15 +432,18 @@ class EtaRadius:
         """eta(x) for real 0 <= x <= w_star, by bracketed bisection."""
         if x < 0 or x > self.w_star:
             raise ValueError("x outside [0, w_star]")
-        f = lambda e: _eta_implicit(e, self.M) - x
-        lo, hi = 0.0, self.eta_star
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect(lambda e: x - _eta_implicit(e, self.M), 0.0, self.eta_star)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Midpoint after 200 halvings of [lo, hi], lo moving while f(mid) > 0."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _eta_implicit(e: float, M: float) -> float:
@@ -462,16 +462,9 @@ def eta_radius(M: float, check_terms: int = 0) -> EtaRadius:
     if M <= 0:
         raise ValueError("M must be > 0")
     dw = lambda e: 1.0 - M * (2.0 / (1.0 - e) ** 3 - 2.0)
-    lo, hi = 0.0, 1.0 - 1e-15
-    if dw(lo) <= 0:
+    if dw(0.0) <= 0:
         raise ValueError("degenerate fold at eta = 0")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dw(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    eta_star = 0.5 * (lo + hi)
+    eta_star = _bisect(dw, 0.0, 1.0 - 1e-15)
     w_star = _eta_implicit(eta_star, M)
     out = EtaRadius(M, eta_star, w_star, 1.0 / w_star)
     if check_terms:
@@ -536,8 +529,8 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
     """
     th = _theta_value(theta0)
     r_values = [float(r) for r in r_values]
-    if sorted(r_values) != r_values:
-        raise ValueError("r_values must be sorted")
+    if not all(a < b for a, b in zip(r_values, r_values[1:])):
+        raise ValueError("r_values must be strictly increasing")
     results = {}
     failures = {}
 

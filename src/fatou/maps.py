@@ -363,17 +363,15 @@ class AutoMap:
         return _at_point(self.eval_batch, z, w)
 
     def eval_inverse_batch(self, z, w):
+        """The inverse pipeline; a closed form's w-axis (z = 0), where the
+        pipeline divides by zero, takes its limit (0, e^{-i theta} w)."""
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
+        zi, wi = eval_pipeline([_inverse_elem(em) for em in reversed(self.pipeline)], z, w)
         fp = self.fastpath
-        # a fast path's w-axis (z = 0) divides by zero and is masked below
-        with np.errstate(over="ignore", invalid="ignore", under="ignore",
-                         divide=None if fp is None else "ignore"):
-            zi, wi = z, w
-            for em in reversed(self.pipeline):
-                zi, wi = _apply_elem(_inverse_elem(em), zi, wi)
-            if fp is None:
-                return zi, wi
+        if fp is None:
+            return zi, wi
+        with np.errstate(all="ignore"):   # 0.0 * w is NaN where w escaped
             axis = np.abs(z) < AXIS_THRESHOLD
             rot = cmath.exp(-1j * fp.theta) if fp.theta else 1.0
             return np.where(axis, 0.0 * w, zi), np.where(axis, w * rot, wi)
@@ -637,8 +635,12 @@ def map_from_json(text: str) -> AutoMap:
     """The map of a map_to_json text.  Of a legacy "fastpath" block only the
     theta_frac is read, into the final Theta generator."""
     obj = json.loads(text)
-    pipeline = [_elem_from_dict(d) for d in obj["pipeline"]]
-    frac = (obj.get("fastpath") or {}).get("theta_frac")
-    if frac is not None and pipeline and pipeline[-1].kind == MapKind.THETA:
-        pipeline[-1] = theta_rotation(pipeline[-1].theta, Fraction(*frac))
+    try:
+        pipeline = [_elem_from_dict(d) for d in obj["pipeline"]]
+        frac = (obj.get("fastpath") or {}).get("theta_frac")
+        if frac is not None and pipeline and pipeline[-1].kind == MapKind.THETA:
+            pipeline[-1] = theta_rotation(pipeline[-1].theta, Fraction(*frac))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError('a map file is {"pipeline": [generator, ...]}, each with a "kind" '
+                         f"and its fields: {type(exc).__name__} {exc}") from None
     return AutoMap(pipeline)

@@ -25,6 +25,13 @@ runs the one generator evaluator on Series2 pairs, must return equal bits.
 generator on one-element arrays in the library's operand order (a Python
 complex product has other bits, and so has a numpy one with its operands
 swapped), and ``fatou.maps.eval_pipeline`` must return equal bits.
+``series2_mul_loop``, ``inverse_loop``, ``series2_exp_loop`` and
+``shift_div_z1_loop`` are the loops that each wrote its own layer
+convolution (shift_div_z1 its own monomial copy) before ``fatou.algebra``
+shared one online layer product, and ``pow_loop`` multiplies with the
+first; the library must return equal bits, signed zeros included.
+``apply_elem_jet`` runs on these loops, so the jet oracle shares no
+product with the library.
 Kept here as the references that tests compare against.
 """
 
@@ -34,7 +41,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from fatou.algebra import Series1C2, Series2, series1_compose_map, series2_exp, series2_mul
+from fatou.algebra import (
+    Series1C2,
+    Series2,
+    SeriesError,
+    series1_compose_map,
+    tri_index,
+    tri_size,
+)
 from fatou.diophantine import dist_k_theta, max_c, small_divisor_modulus
 from fatou.maps import MapKind
 
@@ -211,13 +225,105 @@ def residual(psi, F_jet, lam, radius, samples=64):
     return worst
 
 
+def _layer_of(flat, d):
+    start = d * (d + 1) // 2
+    return flat[start : start + d + 1]
+
+
+def series2_mul_loop(a, b):
+    """Cauchy product, one layer convolution per pair of degrees."""
+    D = a.order
+    out = np.zeros(tri_size(D), dtype=np.complex128)
+    for d in range(D + 1):
+        acc = np.zeros(d + 1, dtype=np.complex128)
+        for d1 in range(d + 1):
+            la = a.layer(d1)
+            lb = b.layer(d - d1)
+            acc = acc + np.convolve(la, lb)
+        start = d * (d + 1) // 2
+        out[start : start + d + 1] = acc
+    return Series2(D, out)
+
+
+def inverse_loop(s):
+    """1/s layer by layer from the constant term."""
+    c0 = s.coeffs[0]
+    if abs(c0) == 0.0:
+        raise SeriesError("inverse of a series with zero constant term")
+    D = s.order
+    inv0 = 1.0 / c0
+    out = np.zeros(tri_size(D), dtype=np.complex128)
+    out[0] = inv0
+    for d in range(1, D + 1):
+        acc = np.zeros(d + 1, dtype=np.complex128)
+        for k in range(1, d + 1):
+            acc = acc + np.convolve(s.layer(k), _layer_of(out, d - k))
+        start = d * (d + 1) // 2
+        out[start : start + d + 1] = acc * (-inv0)
+    return Series2(D, out)
+
+
+def series2_exp_loop(a):
+    """exp(a) by n E_n = sum_k k a_k E_(n-k), zero layers of a skipped."""
+    if abs(a.coeffs[0]) != 0.0:
+        raise SeriesError("series2_exp requires a zero constant term")
+    D = a.order
+    out = np.zeros(tri_size(D), dtype=np.complex128)
+    out[0] = 1.0
+    for n in range(1, D + 1):
+        acc = np.zeros(n + 1, dtype=np.complex128)
+        for k in range(1, n + 1):
+            lay = a.layer(k)
+            if not lay.any():
+                continue
+            acc = acc + np.convolve(lay * k, _layer_of(out, n - k))
+        start = n * (n + 1) // 2
+        out[start : start + n + 1] = acc / n
+    return Series2(D, out)
+
+
+def shift_div_z1_loop(s, l):
+    """s / z^l monomial by monomial; raises on the first (l1, l2) with
+    l1 < l whose coefficient is not negligible."""
+    if l == 0:
+        return s.copy()
+    D = s.order
+    if D < l:
+        raise SeriesError("order too small for the requested division")
+    scale = float(np.max(np.abs(s.coeffs)))
+    new_order = D - l
+    out = np.zeros(tri_size(new_order), dtype=np.complex128)
+    for l1 in range(D + 1):
+        for l2 in range(D + 1 - l1):
+            c = s.coeffs[tri_index(l1, l2)]
+            mag = abs(c)
+            if l1 < l:
+                if mag > 1e-9 * max(scale, 1e-300):
+                    raise SeriesError(
+                        f"series not divisible by z^{l}: monomial ({l1},{l2}) "
+                        f"has coefficient of magnitude {mag:.3e}"
+                    )
+                continue
+            if l1 - l + l2 <= new_order:
+                out[tri_index(l1 - l, l2)] = c
+    return Series2(new_order, out, _validate=False)
+
+
+def pow_loop(s, k):
+    """s^k as k products from the constant 1."""
+    out = Series2.const(s.order, 1.0)
+    for _ in range(k):
+        out = series2_mul_loop(out, s)
+    return out
+
+
 def _exp_series(S):
     """exp of a series with arbitrary constant term."""
     c0 = S.coeffs[0]
     if c0 == 0:
-        return series2_exp(S)
+        return series2_exp_loop(S)
     shifted = S - Series2.const(S.order, c0)
-    return series2_exp(shifted).scale(cmath.exp(c0))
+    return series2_exp_loop(shifted).scale(cmath.exp(c0))
 
 
 def apply_elem_jet(em, Z, W):
@@ -225,37 +331,37 @@ def apply_elem_jet(em, Z, W):
     if k == MapKind.F1:
         return Z, W + Z
     if k == MapKind.F2:
-        return series2_mul(Z, _exp_series(W)), W
+        return series2_mul_loop(Z, _exp_series(W)), W
     if k == MapKind.F3:
         return Z, W - Z
     if k == MapKind.F4:
-        return series2_mul(Z, _exp_series(-W)), W
+        return series2_mul_loop(Z, _exp_series(-W)), W
     if k == MapKind.SHEAR:
         acc = Series2.zero(Z.order)
         for c in reversed(em.coeffs):
-            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
-        return Z, W + series2_mul(acc, series2_mul(Z, Z))
+            acc = series2_mul_loop(acc, Z) + Series2.const(Z.order, c)
+        return Z, W + series2_mul_loop(acc, series2_mul_loop(Z, Z))
     if k == MapKind.OVERSHEAR:
         acc = Series2.zero(Z.order)
         for c in reversed(em.coeffs):
-            acc = series2_mul(acc, Z) + Series2.const(Z.order, c)
-        return Z, series2_mul(W, _exp_series(series2_mul(acc, Z)))
+            acc = series2_mul_loop(acc, Z) + Series2.const(Z.order, c)
+        return Z, series2_mul_loop(W, _exp_series(series2_mul_loop(acc, Z)))
     if k == MapKind.F6:
-        return Z, series2_mul(W, _exp_series(Z.scale(em.l + 1)))
+        return Z, series2_mul_loop(W, _exp_series(Z.scale(em.l + 1)))
     if k == MapKind.THETA:
         return Z, W.scale(cmath.exp(1j * em.theta))
     if k == MapKind.BL:
-        P = Z.pow(em.l)
-        return Z, series2_mul(P, W)
+        P = pow_loop(Z, em.l)
+        return Z, series2_mul_loop(P, W)
     # BL_INV: divide W by Z^l.
     l = em.l
     if Z.coeffs[0] != 0:
         # Z is a unit (jet taken away from the w-axis): plain inversion
-        return Z, series2_mul(W, Z.inverse().pow(l))
+        return Z, series2_mul_loop(W, pow_loop(inverse_loop(Z), l))
     work = Z.order
-    U = Z.shift_div_z1(1).pad(work)  # unit cofactor of Z; top layer unknown
-    V = U.inverse().pow(l)
-    quotient = series2_mul(W, V).shift_div_z1(l).pad(work)
+    U = shift_div_z1_loop(Z, 1).pad(work)  # unit cofactor of Z; top layer unknown
+    V = pow_loop(inverse_loop(U), l)
+    quotient = shift_div_z1_loop(series2_mul_loop(W, V), l).pad(work)
     return Z, quotient
 
 
@@ -320,3 +426,4 @@ def eval_pipeline(pipeline, z, w):
                 zi, wi = apply_elem_value(em, zi, wi)
             out_z[i], out_w[i] = zi[0], wi[0]
     return out_z, out_w
+

@@ -370,3 +370,108 @@ def test_json_roundtrip_bit_exact():
     assert np.array_equal(back_jet[0].coeffs, jet[0].coeffs)
     assert np.array_equal(back_jet[1].coeffs, jet[1].coeffs)
 
+
+
+# -- one layer product and one row codec, against the loops they replaced ---
+
+
+def bits(s):
+    return s.coeffs.view(np.uint64)
+
+
+def rand_sparse_series(order, rng):
+    """Random coefficients with zero layers, zero entries and signed zeros."""
+    n = tri_size(order)
+    c = rng.randn(n) * 0.5 + 1j * rng.randn(n) * 0.5
+    for d in range(order + 1):
+        if rng.rand() < 0.3:
+            c[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2] = 0.0
+    pick = rng.rand(n)
+    c[pick < 0.15] = complex(-0.0, 0.0)
+    c[(pick >= 0.15) & (pick < 0.25)] = complex(0.0, -0.0)
+    c[(pick >= 0.25) & (pick < 0.3)] = complex(-0.0, -0.0)
+    return Series2(order, c)
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_series_kernels_equal_the_loops_they_replaced(order):
+    rng = np.random.RandomState(1500 + order)
+    for _ in range(6):
+        a, b = rand_sparse_series(order, rng), rand_sparse_series(order, rng)
+        assert np.array_equal(bits(series2_mul(a, b)), bits(series_oracle.series2_mul_loop(a, b)))
+        for k in range(4):
+            assert np.array_equal(bits(a.pow(k)), bits(series_oracle.pow_loop(a, k)))
+        for c0 in (1.5 - 0.25j, -0.75, 2j):
+            u = Series2(order, np.concatenate([[c0], a.coeffs[1:]]))
+            assert np.array_equal(bits(u.inverse()), bits(series_oracle.inverse_loop(u)))
+        for c0 in (0.0, -0.0, complex(-0.0, -0.0)):
+            e = Series2(order, np.concatenate([[c0], a.coeffs[1:]]))
+            assert np.array_equal(bits(series2_exp(e)), bits(series_oracle.series2_exp_loop(e)))
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_shift_div_z1_equals_the_monomial_loop(order):
+    rng = np.random.RandomState(1600 + order)
+    for l in range(min(order, 3) + 1):
+        a = rand_sparse_series(order, rng)
+        a.coeffs[tri_index(l, 0)] = 1.0   # sets the scale of the roundoff gate
+        divisible = a.coeffs.copy()
+        noise = a.coeffs.copy()
+        for l1 in range(l):
+            for l2 in range(order + 1 - l1):
+                divisible[tri_index(l1, l2)] = complex(-0.0, 0.0)
+                noise[tri_index(l1, l2)] *= 1e-12   # below the 1e-9 roundoff gate
+        for c in (divisible, noise):
+            s = Series2(order, c)
+            assert np.array_equal(bits(s.shift_div_z1(l)), bits(series_oracle.shift_div_z1_loop(s, l)))
+        if l:
+            a.coeffs[tri_index(l - 1, order - l + 1)] = 0.5   # a last offender at least
+            with pytest.raises(SeriesError) as want:
+                series_oracle.shift_div_z1_loop(a, l)
+            with pytest.raises(SeriesError) as got:
+                a.shift_div_z1(l)
+            assert str(got.value) == str(want.value)
+
+
+def test_row_texts_keep_their_format_and_signed_zeros():
+    psi = Series1C2(1, np.array([[complex(-0.0, 0.0), complex(1.0, -0.0)],
+                                 [complex(0.1, 2.0), complex(-3e-300, 1e20)]]))
+    text = series1_to_json(psi)
+    assert text == ('{"order":1,"coeffs":[[-0,0,1,-0],'
+                    '[0.10000000000000001,2,-3.0000000000000002e-300,1e+20]]}')
+    # "-0" is the JSON integer 0; a float -0.0 keeps its sign through the reader
+    back = series1_from_json(text.replace("[-0,0,1,-0]", "[-0.0,0,1,-0.0]"))
+    assert np.array_equal(back.coeffs.view(np.uint64), psi.coeffs.view(np.uint64))
+    rng = np.random.RandomState(18)
+    jet = (rand_series(3, rng), rand_series(3, rng))
+    jet[0].coeffs[4] = complex(-0.0, -0.0)
+    text = jet_to_json(jet).replace("[-0,-0,", "[-0.0,-0.0,")
+    back_jet = jet_from_json(text)
+    for g, w in zip(back_jet, jet):
+        assert np.array_equal(bits(g), bits(w))
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"order": 1}',
+    '{"coeffs": [[0, 0, 0, 0]]}',
+    '{"order": 1, "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}',
+    '{"order": 1, "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0]]}',
+    '{"order": 1, "coeffs": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}',
+    '{"order": 1, "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0]]}',
+    '{"order": 1, "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, "x"]]}',
+    "not json",
+])
+def test_jet_reader_rejects_any_other_text(text):
+    with pytest.raises(SeriesError):
+        jet_from_json(text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 1, "coeffs": [[0, 0, 0, 0]]}',
+    '{"order": 1, "coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}',
+    '{"order": "one", "coeffs": []}',
+])
+def test_psi_reader_rejects_any_other_row_count(text):
+    with pytest.raises(SeriesError):
+        series1_from_json(text)

@@ -231,6 +231,10 @@ BAD_GRID = "needs nz, nw >= 1 and a finite step > 0"
     (LIMIT + ("--grid", "10"), "--grid must be NZxNW"),
     (LIMIT + ("--grid", "0x3"), BAD_GRID),
     (LIMIT + ("--grid-step", "0"), BAD_GRID),
+    (("sweep", "--theta", "golden", "--r", "1.0,1.0", "--order", "10"), "strictly increasing"),
+    (("sweep", "--theta", "golden", "--r", "1.0,0.99", "--order", "10"), "strictly increasing"),
+    (("coverage", "--map", "rank1", "--targets", "0"), "targets must be >= 1"),
+    (("coverage", "--map", "rank1", "--ring-samples", "0"), "ring_samples must be >= 3"),
 ])
 def test_empty_k_range_exits_1(tmp_path, capsys, cmd):
     # and an empty or malformed grid: one error line, no traceback or warning
@@ -239,6 +243,34 @@ def test_empty_k_range_exits_1(tmp_path, capsys, cmd):
         warnings.simplefilter("error")
         code, text = run(tmp_path, *argv)
     assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 2
+    assert message in err
+
+
+ROW = "[0, 0, 0, 0]"
+
+
+@pytest.mark.parametrize("cmd, text, message", [
+    ("limit", '{"pipe": []}', "KeyError 'pipeline'"),
+    ("limit", '{"pipeline": [{}]}', "KeyError 'kind'"),
+    ("limit", "[1]", 'a map file is {"pipeline": [generator, ...]}'),
+    ("limit", '{"pipeline": [], "fastpath": 3}', "AttributeError"),
+    ("limit", '{"pipeline": [{"kind": "Theta", "theta": 1.0}], "fastpath": {"theta_frac": 3}}',
+     "TypeError"),
+    ("linearize", '{"order": 1, "coeffs": [%s]}' % ",".join([ROW] * 4), "needs 3 rows"),
+    ("linearize", '{"order": 1, "coeffs": [%s]}' % ",".join([ROW] * 2), "needs 3 rows"),
+    ("linearize", '{"order": 1}', "order and coeffs"),
+])
+def test_malformed_map_file_exits_1(tmp_path, capsys, cmd, text, message):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    argv = {"limit": LIMIT[:1] + ("--map", str(path)) + LIMIT[3:],
+            "linearize": ("linearize", "--theta", "golden", "--order", "10", "--map", str(path))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, *argv[cmd])
+    assert code == 1 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 2
     assert message in err

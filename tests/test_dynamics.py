@@ -306,6 +306,18 @@ def test_waxis_coverage_precondition_failure():
         waxis_coverage(H1, 10.0, z0, ring_samples=64, tol=1e-6, n_max=2 * 10**4)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"ring_samples": 2}, "ring_samples"),
+    ({"ring_samples": 0}, "ring_samples"),
+    ({"targets": 0}, "targets"),
+    ({"targets": -1}, "targets"),
+])
+def test_waxis_coverage_rejects_too_few_ring_samples_or_targets(kwargs, name):
+    # checked before any orbit is run: n_max=1 would fail the precondition
+    with pytest.raises(ValueError, match=name):
+        waxis_coverage(H1, 1.0, tr(200.0), n_max=1, **kwargs)
+
+
 # -- invariant curve ---------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 import series_oracle
 from fatou.algebra import Series2, tri_index
 from fatou.diophantine import GOLDEN, max_c
+from fatou.maps import rank0_map, rank1_map
 from fatou.linearization import (
     MajorantOverflowError,
     SmallDivisorError,
@@ -25,6 +26,7 @@ from fatou.linearization import (
 )
 from fatou.linearization import (
     _delta_sequence,
+    _jet_max_norm,
     _majorant_recursion,
     _nonlinear_part,
     _normalize_jet,
@@ -497,6 +499,27 @@ def test_sweep_coefficient_continuity():
 def test_sweep_requires_sorted_r():
     with pytest.raises(ValueError):
         parameter_sweep(quadratic_test_family, GOLDEN, [1.005, 1.0], 8)
+
+
+@pytest.mark.parametrize("r_values", [[1.0, 1.0], [0.99, 1.0, 1.0], [1.0, math.nan]])
+def test_sweep_requires_strictly_increasing_r(r_values):
+    # a zero span made the step-halving test divide by h = 0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        parameter_sweep(quadratic_test_family, GOLDEN, r_values, 8)
+
+
+@pytest.mark.parametrize("m, order, at", [
+    (rank0_map(1), 3, (0.01 + 0.02j, 0.3)),
+    (rank0_map(2), 9, (0.0, 0.5 - 0.25j)),
+    (rank1_map(), 3, (0.01 + 0.02j, 0.3)),
+    (rank1_map(), 7, None),
+])
+def test_jet_max_norm_has_the_bits_of_the_scalar_abs_max(m, order, at):
+    # np.abs on a complex array differs from abs() by an ulp on these jets
+    jet = m.jet(order, at)
+    want = max(abs(c) for s in jet for c in s.coeffs[3:])
+    assert _jet_max_norm(jet).hex() == float(want).hex()
+    assert _jet_max_norm(linear_family(LAM, order=1)) == 0.0
 
 
 def test_result_json():

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,20 @@ def test_inverse_on_axis():
     HR = rotation_map(t)
     zi, wi = HR.eval_inverse(0.0, 1.0)
     assert abs(wi - cmath.exp(-1j * t)) < 1e-15
+
+
+def test_inverse_escape_is_silent_like_the_forward_map():
+    # the inverse of (Bl(2), F1) divides by z^2 at z = 0: an escape, no warning
+    z = np.array([0.0, -0.0, np.inf, np.nan, 1e-200, 0.5]) + 0j
+    w = np.array([np.inf, 1.0, 1.0, 1.0, np.nan, -np.inf]) + 0j
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MapEscapeError):
+            AutoMap((bl(2), f1())).eval_inverse(0, 1)
+        with pytest.raises(MapEscapeError):
+            AutoMap((bl_inverse(2), f1())).eval(0, 1)
+        for H in (rank0_map(2), rank1_map(), rotation_map(2 * np.pi / 3, Fraction(1, 3))):
+            H.eval_inverse_batch(z, w)
 
 
 # -- jets ---------------------------------------------------------------
