@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -60,10 +61,6 @@ from .linearization import (
     solve_psi,
 )
 from .maps import four_map_composite, map_from_json, rank0_map, rank1_map, rotation_map
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def parse_complex(text: str) -> complex:
@@ -222,28 +219,17 @@ def _sanitize(obj):
     return obj
 
 
-def write_csv(args, header, rows) -> None:
-    lines = []
+def write_csv(args, header, chunks) -> None:
+    """Write the meta lines and the header, then the body's text chunks."""
     meta = _meta(args)
-    lines.append(f"# artifact=fatou version={meta['version']}")
-    lines.append(f"# generated_at={meta['generated_at']}")
-    for k, v in meta["config"].items():
-        lines.append(f"# {k}={v}")
-    lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_f17(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    head = [f"# artifact=fatou version={meta['version']}",
+            f"# generated_at={meta['generated_at']}"]
+    head += [f"# {k}={v}" for k, v in meta["config"].items()]
+    head.append(",".join(header))
+    path = getattr(args, "out", None)
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(head) + "\n")
+        fh.writelines(chunks)
 
 
 def _region(args) -> RegionUNM | None:

@@ -5,7 +5,9 @@ the natural chart for the invariant region is the transformed one,
 z -> -1/z, in which the region U_{N,M} = {Re z > N, |w| < M} is a
 half-plane times a disk and the first coordinate advances by roughly one
 per step.  Seeds for regions, grids and samplers are therefore given in
-the transformed chart; orbit data records both charts.
+the transformed chart; orbit data records both charts.  An OrbitRecord
+holds its recorded steps as columns (n, z, w, zhat, in_region), and
+orbit_csv_rows formats them as CSV text a chunk of rows at a time.
 
 All multi-seed operations iterate their seeds in lockstep (the same
 number of steps for every seed).  Lockstep keeps runs deterministic and
@@ -35,7 +37,6 @@ from .maps import AutoMap, MapEscapeError, eval_pipeline
 
 __all__ = [
     "RegionUNM",
-    "OrbitStep",
     "OrbitRecord",
     "Grid2D",
     "LimitMapEstimate",
@@ -89,7 +90,7 @@ EMPIRICAL_MIN_N = {
 
 def to_transformed(z):
     """z -> -1/z (the chart where the region is a half-plane)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(z == 0, np.inf + 0j, -1.0 / z)
 
 
@@ -167,19 +168,20 @@ def sample_region(region: RegionUNM, count: int, *, re_span: float | None = None
 
 
 @dataclass
-class OrbitStep:
-    n: int
-    z: complex
-    w: complex
-    zhat: complex
-    in_region: bool | None
-
-
-@dataclass
 class OrbitRecord:
+    """One seed's orbit; the recorded steps are the entries of five columns.
+
+    n (int64); z, w and zhat = -1/z (complex128); in_region (bool), or
+    None without a region.
+    """
+
     seed: tuple
     seed_transformed: tuple
-    steps: list
+    n: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    zhat: np.ndarray
+    in_region: np.ndarray | None
     escaped: bool
     stop_reason: str         # "completed" | "converged" | "escaped"
     n_performed: int
@@ -201,15 +203,9 @@ def iterate(m: AutoMap, seed, n_max: int, record_every: int = 1, *,
     z0, w0 = complex(seed[0]), complex(seed[1])
     if transformed:
         z0 = complex(from_transformed(np.complex128(z0)))
-    steps = []
     reason = "completed"
     last = (0, np.array([z0]), np.array([w0]))   # the last finite step
-
-    def record(ns, z, w):
-        zh = to_transformed(z)
-        inside = region.contains(zh, w).tolist() if region else [None] * len(ns)
-        steps.extend(OrbitStep(n, a, b, c, d) for n, a, b, c, d
-                     in zip(ns, z.tolist(), w.tolist(), zh.tolist(), inside))
+    parts = [(np.zeros(1, dtype=np.int64), last[1], last[2])]   # recorded (n, z, w)
 
     def on_block(n, zs, ws):
         # the first row that escapes or, with stop_tol, converges ends the run;
@@ -231,20 +227,22 @@ def iterate(m: AutoMap, seed, n_max: int, record_every: int = 1, *,
             reason = "converged"
         end = min(e + 1, c + 1, k)
         kept = end - (not (np.isfinite(z[end - 1]) and np.isfinite(w[end - 1])))
-        ns = range(n - k + 1, n - k + 1 + kept)
         if kept:
-            last = (ns[-1], z[kept - 1:kept].copy(), w[kept - 1:kept].copy())
-            rec = [i for i, j in enumerate(ns) if j % record_every == 0 or j == n_max]
-            record([ns[i] for i in rec], z[rec], w[rec])
+            steps = np.arange(n - k + 1, n - k + 1 + kept)
+            last = (int(steps[-1]), z[kept - 1:kept].copy(), w[kept - 1:kept].copy())
+            rec = (steps % record_every == 0) | (steps == n_max)
+            parts.append((steps[rec], z[:kept][rec], w[:kept][rec]))
         return reason != "completed"
 
-    record([0], last[1], last[2])
     _lockstep_iterate(m.eval_batch, last[1], last[2], None, n_max, on_block=on_block)
-    n_done, z, w = last
-    if steps[-1].n != n_done:
-        record([n_done], z, w)
+    n_done = last[0]
+    if n_done % record_every and n_done != n_max:   # the last step, unless recorded
+        parts.append((np.array([n_done]), last[1], last[2]))
+    ns, z, w = (np.concatenate(col) for col in zip(*parts))
+    zhat = to_transformed(z)
     return OrbitRecord((z0, w0), (complex(to_transformed(np.complex128(z0))), w0),
-                       steps, reason == "escaped", reason, n_done, region)
+                       ns, z, w, zhat, region.contains(zhat, w) if region else None,
+                       reason == "escaped", reason, n_done, region)
 
 
 ORBIT_CSV_HEADER = ("n", "re_z", "im_z", "re_w", "im_w",
@@ -252,10 +250,18 @@ ORBIT_CSV_HEADER = ("n", "re_z", "im_z", "re_w", "im_w",
 
 
 def orbit_csv_rows(record: OrbitRecord):
-    for s in record.steps:
-        yield (s.n, s.z.real, s.z.imag, s.w.real, s.w.imag,
-               s.zhat.real, s.zhat.imag,
-               "" if s.in_region is None else int(s.in_region))
+    """The CSV body of an orbit as text, in chunks of up to 4096 rows; '%.17g'
+    writes what format(x, '.17g') does, -0, inf and nan included."""
+    for lo in range(0, record.n.size, 4096):
+        rows = slice(lo, lo + 4096)
+        z, w, zh = record.z[rows], record.w[rows], record.zhat[rows]
+        inside = ([""] * z.size if record.in_region is None
+                  else record.in_region[rows].astype(int).tolist())
+        yield "".join(
+            "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % row
+            for row in zip(record.n[rows].tolist(), z.real.tolist(), z.imag.tolist(),
+                           w.real.tolist(), w.imag.tolist(), zh.real.tolist(),
+                           zh.imag.tolist(), inside))
 
 
 # -- vectorized engines -------------------------------------------------------
@@ -802,12 +808,13 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
         ww = w0 + tt * (f_p[1] - w0)
         return _lockstep_iterate(m.eval_batch, [zz], [ww], None, n)[:2]
 
-    g = radius(poly_z, poly_w) - eps
+    # the crossing scan and the invariance defect read a block of rows at a time
     hits = []
     hit_params = []
-    for n in range(poly_z.shape[0]):
-        sign_change = np.nonzero(g[n, :-1] * g[n, 1:] < 0)[0]
-        for k in sign_change:
+    for row in range(0, n_max + 1, 256):
+        g = radius(poly_z[row:row + 256], poly_w[row:row + 256]) - eps
+        for i, k in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0)):
+            n = row + int(i)
             lo, hi = t[k], t[k + 1]
             f_lo = float(radius(*image(lo, n))[0]) - eps
             while hi - lo > bisect_tol:
@@ -822,7 +829,7 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
             hits.append((complex(zz[0]), complex(ww[0])))
             hit_params.append((n, tt))
     # invariance against the generator pipeline, which shares no code with
-    # the closed-form kernel that made the rows; a block of rows at a time
+    # the closed-form kernel that made the rows
     defect = 0.0
     for lo in range(0, n_max, 256):
         hi = min(lo + 256, n_max)

@@ -508,7 +508,7 @@ class SweepResult:
     r_values: list
     results: dict            # r -> LinearizationResult (or exception string)
     d_psi_dr: dict           # interior r -> (order+1, 2) array of FD derivatives
-    smoothness_ok: bool
+    smoothness_ok: bool | None   # None: the step-halving test did not run
     smoothness_ratios: dict  # n -> ratio used in the first-order test
     failures: dict
 
@@ -525,7 +525,8 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
     around the middle r; a C^1 family with nonvanishing curvature shrinks
     the difference-of-differences by a factor 2 per halving, so the ratio
     test accepts [1.8, 2.2].  Coefficients with no measurable curvature are
-    vacuously smooth and are skipped.
+    vacuously smooth and are skipped.  With one r value, or when the middle
+    r failed, the test does not run and smoothness_ok is None.
     """
     th = _theta_value(theta0)
     r_values = [float(r) for r in r_values]
@@ -553,11 +554,12 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
             r_hi - r_lo
         )
 
-    smoothness_ok = True
+    smoothness_ok = None
     ratios = {}
     if len(r_values) >= 2:
         mid = r_values[len(r_values) // 2]
         if mid in results:
+            smoothness_ok = True
             h = (r_values[-1] - r_values[0]) / 4.0
             base = results[mid].psi.coeffs
             diffs = []

@@ -6,7 +6,8 @@ blocks of steps and hands each block's rows to vectorised hooks; it must
 stop at the same steps, and every result built on it must equal the one
 built here bit for bit.  The functions below are the per-step versions of
 the dynamics entry points whose hooks changed; each returns what its
-counterpart returns, or raises the same MapEscapeError.
+counterpart returns, or raises the same MapEscapeError.  The orbit CSV
+writer here formats one cell at a time, as the CLI once did.
 """
 
 import cmath
@@ -16,8 +17,6 @@ import numpy as np
 
 from fatou.dynamics import (
     ESCAPE_RADIUS,
-    OrbitRecord,
-    OrbitStep,
     _escaped,
     from_transformed,
     sample_region,
@@ -54,6 +53,7 @@ def lockstep_iterate(step, z, w, tol, n_max, *, stride=1, check_every=64, on_ste
 
 def iterate(m, seed, n_max, record_every=1, *, transformed=False, region=None,
             stop_tol=1e-12):
+    """(rows, escaped, stop_reason, n_performed); a row is (n, z, w, zhat, in_region)."""
     z0, w0 = complex(seed[0]), complex(seed[1])
     if transformed:
         z0 = complex(from_transformed(np.complex128(z0)))
@@ -64,8 +64,8 @@ def iterate(m, seed, n_max, record_every=1, *, transformed=False, region=None,
     def record(n, z, w):
         zh = complex(to_transformed(z)[0])
         wn = complex(w[0])
-        steps.append(OrbitStep(n, complex(z[0]), wn, zh,
-                               bool(region.contains(zh, wn)) if region else None))
+        steps.append((n, complex(z[0]), wn, zh,
+                      bool(region.contains(zh, wn)) if region else None))
 
     def on_step(n, z, w):
         nonlocal escaped, last
@@ -83,10 +83,20 @@ def iterate(m, seed, n_max, record_every=1, *, transformed=False, region=None,
     n_done, z, w = last
     converged = stop_tol is not None and sup_delta < stop_tol
     reason = "escaped" if escaped else "converged" if converged else "completed"
-    if steps[-1].n != n_done:
+    if steps[-1][0] != n_done:
         record(n_done, z, w)
-    return OrbitRecord((z0, w0), (complex(to_transformed(np.complex128(z0))), w0),
-                       steps, escaped, reason, n_done, region)
+    return steps, escaped, reason, n_done
+
+
+def orbit_csv_text(rows):
+    """The CSV body of iterate's rows: 17 significant digits per float cell."""
+    lines = []
+    for n, z, w, zh, inside in rows:
+        row = (n, z.real, z.imag, w.real, w.imag, zh.real, zh.imag,
+               "" if inside is None else int(inside))
+        lines.append(",".join(format(float(x), ".17g") if isinstance(x, float) else str(x)
+                              for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def raise_on_escape(m, zhat, w0, escaped, n_used, label, z0=None):

@@ -1,12 +1,16 @@
 import cmath
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fatou
 from fatou.cli import COMMANDS, FLAGS, main, parse_complex, parse_theta
 from fatou.diophantine import GOLDEN, SILVER, QuadraticIrrational
 from fatou.linearization import quadratic_test_family, solve_psi
@@ -81,6 +85,23 @@ def test_iterate_escape_exit_code(tmp_path):
     code, _ = run(tmp_path, "iterate", "--map", "rank0", "--seed", "0.9,600",
                   "--n", "50")
     assert code == 2
+
+
+def test_iterate_peak_memory(tmp_path):
+    # 10^5 steps: the orbit's columns and one text chunk at a time, where a
+    # Python object per row and the whole CSV text peaked at 102 MiB; a
+    # parent process reads the run's peak alone through RUSAGE_CHILDREN
+    probe = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    argv = [sys.executable, "-m", "fatou", "iterate", "--map", "rank0", "--l", "2",
+            "--seed-transformed", "100.3+0.2i,0.5+0.1i", "--n", "100000",
+            "--region", "6,10", "--out", str(tmp_path / "orbit.csv")]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fatou.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe] + argv, env=env, check=True,
+                         capture_output=True, text=True)
+    assert (tmp_path / "orbit.csv").read_text().splitlines()[-1].startswith("100000,")
+    peak_mib = int(out.stdout) / 1024
+    assert peak_mib <= 60, f"peak RSS {peak_mib:.1f} MiB"
 
 
 # -- json commands --------------------------------------------------------
@@ -183,6 +204,12 @@ def test_sweep_rejects_map_without_family(tmp_path, preset):
     code, text = run(tmp_path, "sweep", "--theta", "golden", "--r", "0.99,1.0,1.01",
                      "--order", "6", "--map", preset)
     assert code == 1 and text == ""
+
+
+def test_sweep_one_r_writes_null_smoothness(tmp_path):
+    code, text = run(tmp_path, "sweep", "--theta", "golden", "--r", "1.0", "--order", "10")
+    d = json.loads(text)["data"]
+    assert code == 0 and d["smoothness_ok"] is None and d["smoothness_ratios"] == {}
 
 
 def test_diophantine_golden(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -61,14 +62,13 @@ def test_region_membership():
 def test_constant_orbit_on_axis():
     rec = iterate(H0, (0.0, 5.0 + 1j), 50, record_every=10)
     assert not rec.escaped
-    for s in rec.steps:
-        assert s.z == 0.0 and s.w == 5.0 + 1j
+    assert np.all(rec.z == 0.0) and np.all(rec.w == 5.0 + 1j)
     assert rec.stop_reason == "converged"  # step delta is exactly 0
 
 
 def test_first_step_grows_real_part():
     rec = iterate(H0, (100.0, 1.0), 1, transformed=True, stop_tol=None)
-    assert rec.steps[-1].zhat.real > 100.0
+    assert rec.zhat[-1].real > 100.0
 
 
 def test_orbit_growth_sandwich():
@@ -81,12 +81,25 @@ def test_orbit_growth_sandwich():
 def test_orbit_record_transformed_consistency():
     rec = iterate(H0, (30.0, 0.5), 100, record_every=25, transformed=True,
                   region=RegionUNM(6.0, 10.0), stop_tol=None)
-    for s in rec.steps:
-        if s.z != 0:
-            assert abs(s.zhat + 1.0 / s.z) < 1e-12 * max(1.0, abs(s.zhat))
-        assert s.in_region is True
-    rows = list(orbit_csv_rows(rec))
-    assert rows[0][0] == 0 and len(rows[0]) == 8
+    assert np.all(rec.z != 0)
+    assert np.all(np.abs(rec.zhat + 1.0 / rec.z) < 1e-12 * np.maximum(1.0, np.abs(rec.zhat)))
+    assert rec.in_region.all()
+    rows = "".join(orbit_csv_rows(rec)).splitlines()
+    assert len(rows) == 5 and rows[0].split(",")[0] == "0" and len(rows[0].split(",")) == 8
+
+
+def test_iterate_memory_per_recorded_row():
+    # the columns take 8 + 3 * 16 + 1 = 57 bytes per recorded row; one
+    # Python object per row peaked at about 250 here
+    tracemalloc.start()
+    try:
+        rec = iterate(H0, (100.0, 1.0), 2 * 10**4, transformed=True,
+                      region=RegionUNM(6.0, 10.0), stop_tol=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.n.size == 2 * 10**4 + 1
+    assert peak < 200 * rec.n.size, f"{peak / rec.n.size:.0f} bytes per row"
 
 
 def test_orbit_escape_is_data():
@@ -98,10 +111,9 @@ def test_product_sum_identity_along_orbit():
     # w_0 P + S from the products path meets the plain orbit's final w
     rec = iterate(H0, (20.0, 2.0), 500, transformed=True, stop_tol=None)
     P, S, _, n = track_product_sum_batch(H0, [20.0], [2.0], 500)
-    final = rec.steps[-1]
-    assert n == final.n == 500
+    assert n == rec.n[-1] == 500
     recon = 2.0 * P[0] + S[0]
-    assert abs(final.w - recon) < 1e-12 * max(1.0, abs(final.w))
+    assert abs(rec.w[-1] - recon) < 1e-12 * max(1.0, abs(rec.w[-1]))
 
 
 # -- invariance ----------------------------------------------------------

@@ -193,7 +193,11 @@ def test_forward_invariance_matches(N, M, samples, n_steps, exits):
 
 
 def orbit_rows(record):
-    return record.steps, record.escaped, record.stop_reason, record.n_performed
+    """iterate's columns as the oracle's (rows, escaped, stop_reason, n_performed)."""
+    inside = [None] * record.n.size if record.in_region is None else record.in_region.tolist()
+    rows = list(zip(record.n.tolist(), record.z.tolist(), record.w.tolist(),
+                    record.zhat.tolist(), inside))
+    return rows, record.escaped, record.stop_reason, record.n_performed
 
 
 @pytest.mark.parametrize("m, seed, n_max, kw", [
@@ -207,15 +211,23 @@ def orbit_rows(record):
     (HalfMap(), (2.0 ** 60, 1), 100, dict(record_every=64)),
     (H0, (1, 1), 0, {}),
     (ScaleMap(), (5e99, 1), 10, dict(stop_tol=1e200)),   # escapes as it converges
+    (H0, (complex(-0.0, -0.0), -0.0), 10, {}),       # rows holding -0.0
+    (H0, (1e-320, 1), 10, dict(region=RegionUNM(6.0, 10.0))),  # zhat = -inf + nan i
 ])
 def test_iterate_matches(m, seed, n_max, kw):
     got = dyn.iterate(m, seed, n_max, **kw)
-    assert same(orbit_rows(got), orbit_rows(oracle.iterate(m, seed, n_max, **kw)))
+    want = oracle.iterate(m, seed, n_max, **kw)
+    assert [c.dtype for c in (got.n, got.z, got.w, got.zhat)] == [
+        np.int64, np.complex128, np.complex128, np.complex128]
+    assert got.in_region is None if "region" not in kw else got.in_region.dtype == bool
+    assert same(orbit_rows(got), want)
+    # the CSV text, against a writer that formats one cell at a time
+    assert "".join(dyn.orbit_csv_rows(got)) == oracle.orbit_csv_text(want[0])
 
 
 def test_iterate_converges_off_the_block_grid():
     rec = dyn.iterate(HalfMap(), (2.0 ** 60, 1), 500)
-    assert (rec.stop_reason, rec.n_performed, rec.steps[-1].n) == ("converged", 100, 100)
+    assert (rec.stop_reason, rec.n_performed, rec.n[-1]) == ("converged", 100, 100)
     # an escape wins a tie: step 1 leaves the radius with a delta below stop_tol
     rec = dyn.iterate(ScaleMap(), (5e99, 1), 10, stop_tol=1e200)
     assert (rec.stop_reason, rec.n_performed) == ("escaped", 1)
@@ -230,9 +242,8 @@ def test_iterate_escape_steps(s):
     nan = dyn.iterate(NaNMap(), (-float(s), 1), 200)
     assert (far.stop_reason, far.n_performed, nan.stop_reason, nan.n_performed) == (
         "escaped", s, "escaped", s - 1)
-    assert same(orbit_rows(far),
-                orbit_rows(oracle.iterate(ScaleMap(), seed, 200, stop_tol=None)))
-    assert same(orbit_rows(nan), orbit_rows(oracle.iterate(NaNMap(), (-float(s), 1), 200)))
+    assert same(orbit_rows(far), oracle.iterate(ScaleMap(), seed, 200, stop_tol=None))
+    assert same(orbit_rows(nan), oracle.iterate(NaNMap(), (-float(s), 1), 200))
 
 
 @pytest.mark.parametrize("s", ESCAPE_STEPS)

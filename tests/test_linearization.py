@@ -486,6 +486,23 @@ def test_sweep_linear_derivative_zero():
     assert sw.smoothness_ok
 
 
+def _fails_at_unit_modulus(lam):
+    if abs(abs(lam) - 1.0) < 1e-12:
+        raise ArithmeticError("no jet at |lambda| = 1")
+    return quadratic_test_family(lam)
+
+
+@pytest.mark.parametrize("family, r_values", [
+    (quadratic_test_family, [1.0]),
+    (_fails_at_unit_modulus, [0.995, 1.0, 1.005]),
+])
+def test_sweep_smoothness_untested_is_none(family, r_values):
+    # one r value, or a failed middle r: the step-halving test does not run
+    sw = parameter_sweep(family, GOLDEN, r_values, 10)
+    assert sw.smoothness_ok is None and sw.smoothness_ratios == {}
+    assert list(sw.failures) == ([1.0] if len(r_values) == 3 else [])
+
+
 def test_sweep_coefficient_continuity():
     sw = parameter_sweep(quadratic_test_family, GOLDEN, [0.995, 1.0, 1.005], 20)
     lo, mid = sw.results[0.995], sw.results[1.0]
