@@ -500,7 +500,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The fatou parser with every subcommand, and flags on command's only:
+    a parse runs one subcommand's parser, so no other flag is ever read."""
     ap = argparse.ArgumentParser(
         prog="fatou",
         description="numerical experiments on invariant Fatou components of "
@@ -510,14 +512,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, func, flags) in COMMANDS.items():
         # no abbreviations: --seed must not stand for --seed-transformed
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for dest in ("config", "out") + flags:
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, help=FLAGS[dest][2])
+        if name == command:
+            for dest in ("config", "out") + flags:
+                p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                               help=FLAGS[dest][2])
         p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    """Run the subcommand that argv (default sys.argv[1:]) names.
+
+    The top-level parser takes no option with a value, so the subcommand
+    is argv's first entry that names one; only its parser gets flags.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = _parser(next((a for a in argv if a in COMMANDS), None))
     args = ap.parse_args(argv)
     if not getattr(args, "command", None):
         ap.print_usage(sys.stderr)

@@ -206,16 +206,13 @@ def _jet_max_norm(F_jet) -> float:
     return float(np.max(np.hypot(c.real, c.imag), initial=0.0))
 
 
-def solve_psi(F_jet, lam: complex, D: int, *,
-              precision: str = "auto") -> LinearizationResult:
-    """Solve the conjugation equation to degree D.
+# the scalar each precision mode runs the recursion in
+_NUM = {"double": complex, "dd": DDComplex.of}
 
-    psi_n comes from the degree-n coefficients of N(psi), which involve
-    psi_1..psi_{n-1} only, divided by lambda^n - lambda and lambda^n - 1.
-    precision "auto" escalates to double-double when some small divisor has
-    modulus below 1e-8; "double" and "dd" force the mode.  Either way the
-    coefficients are rounded to complex128 at the end.
-    """
+
+def _prepare(F_jet, lam, D: int, precision: str):
+    """lambda as complex, the normal form and its basis, the divisors, the
+    precision mode and the nonlinear part N = F - linear part."""
     if D < 2:
         raise ValueError("D must be >= 2")
     lam = complex(lam)
@@ -226,12 +223,27 @@ def solve_psi(F_jet, lam: complex, D: int, *,
         mode = "dd" if divisors.min_modulus() < DD_ESCALATION_THRESHOLD else "double"
     if mode not in ("double", "dd"):
         raise ValueError("precision must be 'auto', 'double' or 'dd'")
+    return lam, F_jet, basis, divisors, mode, _nonlinear_part(F_jet, lam)
 
-    N_pair = _nonlinear_part(F_jet, lam)
+
+def solve_psi(F_jet, lam: complex, D: int, *,
+              precision: str = "auto") -> LinearizationResult:
+    """Solve the conjugation equation to degree D.
+
+    psi_n comes from the degree-n coefficients of N(psi), which involve
+    psi_1..psi_{n-1} only, divided by lambda^n - lambda and lambda^n - 1.
+    precision "auto" escalates to double-double when some small divisor has
+    modulus below 1e-8; "double" and "dd" force the mode.  Either way the
+    coefficients are rounded to complex128 at the end.  Besides psi it
+    computes sigma (before psi, so that its overflow raises first), delta's
+    growth fit, eta's radius and the residual; _solve_psi_only skips these
+    and returns the same psi.
+    """
+    lam, F_jet, basis, divisors, mode, N_pair = _prepare(F_jet, lam, D, precision)
     M = _jet_max_norm(F_jet)
     sigma = majorant_sigma(M, divisors, D)  # raises before psi is solved for
 
-    psi = _solve_recursion(N_pair, lam, D, DDComplex.of if mode == "dd" else complex)
+    psi = _solve_recursion(N_pair, lam, D, _NUM[mode])
 
     norms = psi.norms().astype(float)
     majorant_ok = bool(np.all(norms[2:] <= sigma[2:] * (1 + 1e-9) + 1e-300))
@@ -249,6 +261,14 @@ def solve_psi(F_jet, lam: complex, D: int, *,
         lam, D, psi, divisors, M, sigma, res, r_test, rho, a_fit, b,
         "double-double" if mode == "dd" else "double", majorant_ok, basis,
     )
+
+
+def _solve_psi_only(F_jet, lam: complex, D: int) -> Series1C2:
+    """psi of solve_psi(F_jet, lam, D), bit for bit, without its majorants,
+    growth fits and residual: the normal form, the divisors and the same
+    1e-8 precision decision, then the recursion."""
+    lam, _, _, _, mode, N_pair = _prepare(F_jet, lam, D, "auto")
+    return _solve_recursion(N_pair, lam, D, _NUM[mode])
 
 
 def _solve_recursion(N_pair, lam: complex, D: int, num) -> Series1C2:
@@ -288,20 +308,21 @@ def residual(psi: Series1C2, F_jet, lam: complex, radius: float,
     F is evaluated through its jet, so the number reflects truncation plus
     rounding only and decays like radius^(D+1) as the radius shrinks.
     The sample points w_j = radius e^{2 pi i j / samples} and lambda w_j
-    are formed in Python complex arithmetic; psi and the jet then run once
-    over all of them as arrays.  series1_eval and Series2.eval give every
-    point the bits of a one-point call, so the result equals that of the
-    loop over the points bit for bit.  A gap that is not finite (psi or
-    the jet overflowed at this radius) makes the residual inf.
+    are formed in Python complex arithmetic; psi runs once over all 2 *
+    samples of them, and the jet once over psi(w_j), as arrays.
+    series1_eval and Series2.eval give every point the bits of a one-point
+    call, so the result equals that of the loop over the points bit for
+    bit.  A gap that is not finite (psi or the jet overflowed at this
+    radius) makes the residual inf.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     P, Q = F_jet
     ws = [radius * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf below
-        x, y = series1_eval(psi, np.array(ws))
-        rhs = series1_eval(psi, np.array([lam * w for w in ws]))
-        gaps = (P.eval(x, y) - rhs[0], Q.eval(x, y) - rhs[1])
+        u, v = series1_eval(psi, np.array(ws + [lam * w for w in ws]))
+        x, y = u[:samples], v[:samples]
+        gaps = (P.eval(x, y) - u[samples:], Q.eval(x, y) - v[samples:])
     # Python's abs and max, as the per-point loop took them (hypot); max
     # would skip a NaN gap, so any gap that is not finite reads inf
     mags = [abs(g) for gap in gaps for g in gap.tolist()]
@@ -360,16 +381,17 @@ def _delta_sequence(eps_min: np.ndarray, D: int) -> np.ndarray:
     exceed 1 (a ternary block like 1+1+1 beats its binary bracketings), so
     the program carries m_k = best product over compositions of any length,
     with m_k = max(delta_k, eps_k delta_k).  Brute-force enumeration agrees
-    for all k <= 12 (see tests).
+    for all k <= 12 (see tests).  The max over the pairs m_j m_{k-j},
+    j <= k/2, is one array product and max per k: the products are those
+    of the pairwise loop and a max is exact, so delta has its bits.
     """
     delta = np.zeros(D + 1)
     m = np.zeros(D + 1)
     delta[1] = 1.0
     m[1] = 1.0
     for k in range(2, D + 1):
-        best = 0.0
-        for j in range(1, k // 2 + 1):
-            best = max(best, m[j] * m[k - j])
+        h = k // 2
+        best = (m[1:h + 1] * m[k - 1:k - h - 1:-1]).max()
         delta[k] = best / eps_min[k]
         m[k] = max(delta[k], best)
     return delta
@@ -413,11 +435,10 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
 
 def _fit_growth(seq: np.ndarray) -> float:
     """exp(slope) of a least-squares line through log seq_n (positive entries)."""
-    ns = np.array([n for n in range(1, len(seq)) if seq[n] > 0], dtype=float)
-    if len(ns) < 2:
+    idx = np.flatnonzero(seq[1:] > 0) + 1
+    if len(idx) < 2:
         return 1.0
-    logs = np.log(np.array([seq[int(n)] for n in ns]))
-    slope = np.polyfit(ns, logs, 1)[0]
+    slope = np.polyfit(idx.astype(float), np.log(seq[idx]), 1)[0]
     return float(np.exp(slope))
 
 
@@ -526,7 +547,11 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
     the difference-of-differences by a factor 2 per halving, so the ratio
     test accepts [1.8, 2.2].  Coefficients with no measurable curvature are
     vacuously smooth and are skipped.  With one r value, or when the middle
-    r failed, the test does not run and smoothness_ok is None.
+    r failed, the test does not run and smoothness_ok is None.  The test
+    reads only psi at mid + h, h/2, h/4, so those three r take the psi-only
+    solve: no majorant, fit or residual is computed there, and a sigma
+    that overflows at one of them (from n = 242 at r = 1) no longer stops
+    the sweep.
     """
     th = _theta_value(theta0)
     r_values = [float(r) for r in r_values]
@@ -535,13 +560,10 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
     results = {}
     failures = {}
 
-    def solve_at(r: float) -> LinearizationResult:
-        lam = r * cmath.exp(2j * math.pi * th)
-        return solve_psi(F_family(lam), lam, D)
-
+    unit = cmath.exp(2j * math.pi * th)
     for r in r_values:
         try:
-            results[r] = solve_at(r)
+            results[r] = solve_psi(F_family(r * unit), r * unit, D)
         except (SmallDivisorError, SeriesError, ArithmeticError) as exc:
             failures[r] = str(exc)
 
@@ -564,8 +586,8 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
             base = results[mid].psi.coeffs
             diffs = []
             for step in (h, h / 2, h / 4):
-                plus = solve_at(mid + step)
-                diffs.append((plus.psi.coeffs - base) / step)
+                lam = (mid + step) * unit
+                diffs.append((_solve_psi_only(F_family(lam), lam, D).coeffs - base) / step)
             first = diffs[0] - diffs[1]
             second = diffs[1] - diffs[2]
             n_check = max(2, results[mid].order // 2)

@@ -12,7 +12,10 @@ by one dot product per entry and degree, whose summation order differs,
 and must agree within 1e-13 relative.  ``delta_bruteforce`` is the literal
 max over all compositions that ``fatou.linearization._delta_sequence``
 replaces with a pairwise dynamic program; the two must agree within
-1e-12 relative for k <= 12.  ``check_sector_lemma`` reduces k theta
+1e-12 relative for k <= 12.  ``delta_pairwise_loop`` is that program as
+first written, a Python max over the pairs j <= k/2, and
+``fit_growth_loop`` the growth fit that picked its positive entries one
+by one; the library's array forms must return equal bits.  ``check_sector_lemma`` reduces k theta
 for every k and again for every r; the library reduces theta once and
 tests every r on blocks of k with array masks, and must return equal
 reports bit for bit.  ``series1_eval``, ``series2_eval`` and ``residual``
@@ -146,6 +149,31 @@ def delta_bruteforce(eps_min, k):
         return best / eps_min[n]
 
     return delta(k)
+
+
+def delta_pairwise_loop(eps_min, D):
+    """delta by the pairwise program, one Python max per pair (j, k - j)."""
+    delta = np.zeros(D + 1)
+    m = np.zeros(D + 1)
+    delta[1] = 1.0
+    m[1] = 1.0
+    for k in range(2, D + 1):
+        best = 0.0
+        for j in range(1, k // 2 + 1):
+            best = max(best, m[j] * m[k - j])
+        delta[k] = best / eps_min[k]
+        m[k] = max(delta[k], best)
+    return delta
+
+
+def fit_growth_loop(seq):
+    """exp(slope) of the least-squares line through log seq_n, seq_n > 0."""
+    ns = np.array([n for n in range(1, len(seq)) if seq[n] > 0], dtype=float)
+    if len(ns) < 2:
+        return 1.0
+    logs = np.log(np.array([seq[int(n)] for n in ns]))
+    slope = np.polyfit(ns, logs, 1)[0]
+    return float(np.exp(slope))
 
 
 def check_sector_lemma(theta0, r_values, k_max, N=1.0):

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cli_oracle
 import fatou
 from fatou.cli import COMMANDS, FLAGS, main, parse_complex, parse_theta
 from fatou.diophantine import GOLDEN, SILVER, QuadraticIrrational
@@ -210,6 +211,14 @@ def test_sweep_one_r_writes_null_smoothness(tmp_path):
     code, text = run(tmp_path, "sweep", "--theta", "golden", "--r", "1.0", "--order", "10")
     d = json.loads(text)["data"]
     assert code == 0 and d["smoothness_ok"] is None and d["smoothness_ratios"] == {}
+
+
+def test_sweep_past_the_sigma_overflow_of_a_step_halving_r(tmp_path):
+    # a step-halving solve at r = 1.0 used to raise sigma's overflow at n = 242
+    code, text = run(tmp_path, "sweep", "--theta", "golden", "--r", "0.99,0.998,1.006",
+                     "--order", "242")
+    d = json.loads(text)["data"]
+    assert code == 0 and d["smoothness_ok"] is not None and d["failures"] == {}
 
 
 def test_diophantine_golden(tmp_path):
@@ -419,3 +428,30 @@ def test_each_command_rejects_flags_it_does_not_read(capsys):
             main(["sector", "--theta", "golden", "--r", "0.999,1.001", flag, "5"])
         assert exc.value.code == 2, flag
     capsys.readouterr()  # drop argparse's usage messages from the report
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["bogus"], ["--bogus"], ["bogus", "sweep"],
+    *([name, "--help"] for name in COMMANDS),
+    *([name, "--bogus", "1"] for name in COMMANDS),
+    *(["--bogus", name] for name in COMMANDS),
+    ["linearize", "--theta"], ["sweep", "--r", "1", "linearize"],
+])
+def test_help_and_errors_equal_the_full_parsers(capsys, argv):
+    # main adds flags to the subcommand argv names only; what argparse
+    # prints and its exit code are those of the parser with every flag
+    want = _exit(capsys, cli_oracle.build_parser().parse_args, argv)
+    assert _exit(capsys, main, argv) == want
+    assert want[1] or want[2]
+
+
+def test_no_subcommand_prints_the_full_parsers_usage(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == cli_oracle.build_parser().format_usage()

@@ -7,7 +7,7 @@ import pytest
 
 import series_oracle
 from fatou.algebra import Series2, tri_index
-from fatou.diophantine import GOLDEN, max_c
+from fatou.diophantine import GOLDEN, SILVER, max_c
 from fatou.maps import rank0_map, rank1_map
 from fatou.linearization import (
     MajorantOverflowError,
@@ -26,10 +26,12 @@ from fatou.linearization import (
 )
 from fatou.linearization import (
     _delta_sequence,
+    _fit_growth,
     _jet_max_norm,
     _majorant_recursion,
     _nonlinear_part,
     _normalize_jet,
+    _solve_psi_only,
 )
 
 GOLD = GOLDEN.value()
@@ -168,8 +170,8 @@ def test_residual_is_inf_when_the_gaps_are_not_finite():
 
 
 def test_residual_evaluates_psi_twice(monkeypatch):
-    # one array pass at the points and one at their lambda-images: a loop
-    # over the points would call series1_eval 2 * samples times
+    # psi at the points and at their lambda-images in one array pass: a
+    # loop over the points would call series1_eval 2 * samples times
     import fatou.linearization as lin
 
     calls = []
@@ -184,7 +186,7 @@ def test_residual_evaluates_psi_twice(monkeypatch):
     res = solve_psi(F, LAM, 20)
     calls.clear()
     residual(res.psi, F, LAM, 0.1, samples=64)
-    assert calls == [(64,), (64,)]
+    assert calls == [(128,)]
 
 
 def _conjugated_quadratic():
@@ -206,6 +208,8 @@ def test_normalization_preprocessing():
     # recover the normal form and satisfy its functional equation
     res = solve_psi(_conjugated_quadratic(), LAM, 12)
     assert res.basis is not None
+    psi_only = _solve_psi_only(_conjugated_quadratic(), LAM, 12)
+    assert psi_only.coeffs.tobytes() == res.psi.coeffs.tobytes()
     assert res.residual < 1e-9
     assert res.psi.coeffs[1, 0] == 1.0
 
@@ -381,6 +385,20 @@ def test_delta_dp_equals_bruteforce():
     assert abs(dp[3] - max(1.0, dp[2]) / eps[3]) < 1e-14
 
 
+@pytest.mark.parametrize("theta", [GOLD, SILVER.value(), 1 / 3 + 1e-10])
+@pytest.mark.parametrize("r", [0.99, 1.0, 1.01])
+def test_delta_program_equals_the_pairwise_loop(theta, r):
+    # near 1/3 delta overflows to inf (from k = 56 at r = 1) on both sides
+    lam = r * cmath.exp(2j * math.pi * theta)
+    for D in (2, 12, 40, 80, 400):
+        eps = compute_small_divisors(lam, D).eps_min
+        with np.errstate(over="ignore"):
+            got = _delta_sequence(eps, D)
+            want = series_oracle.delta_pairwise_loop(eps, D)
+        assert got.tobytes() == want.tobytes(), D
+        assert _fit_growth(got).hex() == series_oracle.fit_growth_loop(got).hex(), D
+
+
 def test_eta_delta_split():
     c = max_c(GOLDEN, 1.0, 100)
     split = majorant_split(1.0, GOLDEN, c, 1.0, 40)
@@ -511,6 +529,71 @@ def test_sweep_coefficient_continuity():
         step = np.max(np.abs(mid.psi.coeffs[n] - lo.psi.coeffs[n]))
         L = np.max(np.abs(dpsi[n]))
         assert step <= (1.5 * L + 1e-8) * 0.005, n
+
+
+def _full_sweep(monkeypatch, *args):
+    """parameter_sweep with a full solve_psi at each step-halving r."""
+    import fatou.linearization as lin
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lin, "_solve_psi_only", lambda F, lam, D: solve_psi(F, lam, D).psi)
+        return parameter_sweep(*args)
+
+
+@pytest.mark.parametrize("family, theta, r_values, D", [
+    (quadratic_test_family, GOLDEN, [0.995, 1.0, 1.005], 40),
+    (quadratic_test_family, GOLDEN, [0.99, 1.0, 1.01], 24),
+    (quadratic_test_family, SILVER, [0.99, 0.995, 1.0, 1.005, 1.01], 20),
+    (quadratic_test_family, 1 / 3 + 1e-10, [0.999, 1.0, 1.001], 12),  # double-double
+    (quadratic_test_family, 1 / 3 + 1e-10, [0.99, 0.998, 1.006], 12),  # dd at r = 0.998 + h/2
+    (linear_family, GOLDEN, [0.995, 1.0, 1.005], 10),
+])
+def test_sweep_step_halving_solves_psi_only(monkeypatch, family, theta, r_values, D):
+    # one full solve per r value; the three step-halving r take psi only,
+    # and the sweep keeps the bits of one that runs full solves there
+    import fatou.linearization as lin
+
+    calls = []
+    full = lin.solve_psi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(lin, "solve_psi", counting)
+    got = parameter_sweep(family, theta, r_values, D)
+    assert len(calls) == len(r_values)
+    monkeypatch.setattr(lin, "solve_psi", full)
+    want = _full_sweep(monkeypatch, family, theta, r_values, D)
+    assert got.smoothness_ok is want.smoothness_ok is not None
+    assert {n: v.hex() for n, v in got.smoothness_ratios.items()} == \
+        {n: v.hex() for n, v in want.smoothness_ratios.items()}
+    assert got.d_psi_dr.keys() == want.d_psi_dr.keys()
+    for r, d in got.d_psi_dr.items():
+        assert d.tobytes() == want.d_psi_dr[r].tobytes(), r
+    for r, res in got.results.items():
+        assert res.residual.hex() == want.results[r].residual.hex(), r
+        assert res.rho_estimate.hex() == want.results[r].rho_estimate.hex(), r
+
+
+@pytest.mark.parametrize("theta, lam_mod, D", [
+    (GOLD, 1.0, 40), (GOLD, 0.995, 242), (GOLD, 1.005, 80), (1 / 3 + 1e-10, 1.0, 12),
+])
+def test_psi_only_solve_has_the_bits_of_solve_psi(theta, lam_mod, D):
+    lam = lam_mod * cmath.exp(2j * math.pi * theta)
+    F = quadratic_test_family(lam)
+    got = _solve_psi_only(F, lam, D)
+    want = solve_psi(F, lam, D).psi
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_sweep_past_the_sigma_overflow_of_a_step_halving_r():
+    # h = 0.004 puts a step-halving solve at r = 1.0, where sigma overflows
+    # at n = 242; the sweep's own r values keep sigma finite
+    with pytest.raises(MajorantOverflowError):
+        solve_psi(quadratic_test_family(LAM), LAM, 242)
+    sw = parameter_sweep(quadratic_test_family, GOLDEN, [0.99, 0.998, 1.006], 242)
+    assert not sw.failures and sw.smoothness_ok is not None and sw.smoothness_ratios
 
 
 def test_sweep_requires_sorted_r():
