@@ -23,12 +23,19 @@ function in blocks of steps, the q steps of check_equivariance included;
 its hooks read a block's rows at a time.  Escape is data in iterate and
 verify_forward_invariance; every other entry point raises MapEscapeError
 through _raise_on_escape, naming the seeds and the step at which each
-escaped.
+escaped.  A wide hook-free run (estimate_limit_map, track_product_sum_batch)
+splits its seeds over one forked child, with the bits of one process; see
+_in_halves.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +68,7 @@ __all__ = [
     "EMPIRICAL_MIN_N",
     "ORBIT_CSV_HEADER",
     "orbit_csv_rows",
+    "SplitRunError",
 ]
 
 ESCAPE_RADIUS = 1e100
@@ -70,6 +78,9 @@ CHECK_EVERY = 64
 
 # cap on the rows (z and w of each step in a block) that engine hooks read
 BLOCK_BYTES = 8 * 2**20
+
+# the fewest seeds at which a hook-free run splits over two processes
+SPLIT_MIN_SEEDS = 1000
 
 # rank thresholds on the median singular values of the limit's Jacobian:
 # rank 0 if s1 < TAU1, else rank 1 if s2 < TAU2, else rank 2
@@ -411,7 +422,7 @@ class LimitMapEstimate:
 
 
 def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
-                      stride: int = 1, on_block=None):
+                      stride: int = 1, on_block=None, combine=None):
     """Advance all seeds together until every step delta is below tol.
 
     The one orbit engine of the module: step(z, w) -> (z', w') is one map
@@ -426,7 +437,9 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
     row: a big batch gets shorter blocks that divide CHECK_EVERY.  The sup
     of the last step's deltas is checked every CHECK_EVERY strides and at
     n_max; tol None runs all n_max steps.  Escaped seeds ride along as
-    non-finite data.  Returns (z, w, n_used, sup_delta).
+    non-finite data.  At each check, combine(sup_delta), when given, returns
+    the sup over every process of a split run (see _in_halves), so the
+    halves stop together.  Returns (z, w, n_used, sup_delta).
     """
     z = np.array(z, dtype=complex)
     w = np.array(w, dtype=complex)
@@ -464,9 +477,134 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
                 since_check = 0
                 deltas = np.maximum(np.abs(z - z_prev), np.abs(w - w_prev))
                 sup_delta = float(np.fmax.reduce(deltas, axis=None))
+                if combine is not None:
+                    sup_delta = combine(sup_delta)
                 if sup_delta < tol:
                     break
     return z, w, n, sup_delta
+
+
+class SplitRunError(RuntimeError):
+    """The forked half of a split lockstep run failed or died."""
+
+
+def _in_halves(run, n_seeds: int) -> list:
+    """[run(slice(None), None)], or the results of run on two contiguous
+    halves of the seeds, the second stepped in one forked child.
+
+    run(seeds, combine) steps the seeds in the slice seeds through
+    _lockstep_iterate with the given combine; it must run no hook.  The
+    halves swap their local sup-delta at each check and both go on with the
+    np.fmax of the two: fmax is exact and, like np.fmax.reduce, ignores NaN
+    unless every delta is NaN, so n_used and sup_delta are the values one
+    process gets, and each seed's bits are its own.  The parent and the
+    child are pinned to one usable core each for the run (left to the
+    scheduler, a 1,000-seed run of 1,280 steps often shared one core and
+    ran slower than one process); the parent's cores are restored after.
+
+    The run stays in one process below SPLIT_MIN_SEEDS seeds, without
+    os.fork or two usable cores, and when the caller has other threads,
+    which a fork does not copy.  On a 2-core Xeon a rank-1 step took 31, 55,
+    86 and 129 us at 100, 250, 500 and 1,000 seeds in one process and 31,
+    44, 63 and 91 us split, and the fork costs 2-5 ms, so the split repays
+    it within about 100 steps from 1,000 seeds on.
+
+    The child writes nothing to stdout or stderr, sends its result back
+    through a pipe and leaves with os._exit, so no buffered output is
+    flushed twice; it never outlives the call.  A failure in the child
+    raises SplitRunError naming it; one in the parent kills and reaps the
+    child before it propagates.
+    """
+    if n_seeds < SPLIT_MIN_SEEDS or not hasattr(os, "fork"):
+        return [run(slice(None), None)]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2 or threading.active_count() > 1:
+        return [run(slice(None), None)]
+    half = n_seeds // 2
+    down_r, down_w = os.pipe()     # parent -> child
+    up_r, up_w = os.pipe()         # child -> parent
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.sched_setaffinity(0, cpus[1:2])
+            os.close(down_w)
+            os.close(up_r)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+
+            def combine(mine):
+                _send(up_w, b"d", struct.pack("<d", mine))
+                return float(np.fmax(_recv_delta(down_r), mine))
+
+            result = run(slice(half, None), combine)
+            _send(up_w, b"r", pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        except BaseException as exc:
+            try:
+                _send(up_w, b"e", f"{type(exc).__name__}: {exc}".encode())
+            except BaseException:
+                pass
+        finally:
+            os._exit(code)
+    os.close(down_r)
+    os.close(up_w)
+    finished = False
+    try:
+        os.sched_setaffinity(0, cpus[:1])
+
+        def combine(mine):
+            try:
+                _send(down_w, b"d", struct.pack("<d", mine))
+            except BrokenPipeError:
+                pass                    # the child has ended; the read says why
+            return float(np.fmax(mine, _recv_delta(up_r)))
+
+        mine = run(slice(None, half), combine)
+        theirs = pickle.loads(_recv(up_r, b"r"))
+        finished = True
+    finally:
+        if not finished:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.sched_setaffinity(0, cpus)
+        os.close(down_w)
+        os.close(up_r)
+    return [mine, theirs]
+
+
+def _send(fd, kind: bytes, payload: bytes):
+    # one message: its kind, its length and its bytes
+    data = memoryview(struct.pack("<cQ", kind, len(payload)) + payload)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _recv(fd, kind: bytes) -> bytes:
+    """The payload of the next message, which must be of this kind; an error
+    message from the child, or its end, raises SplitRunError."""
+    got, size = struct.unpack("<cQ", _read_exactly(fd, 9))
+    payload = _read_exactly(fd, size)
+    if got == b"e":
+        raise SplitRunError(f"the forked half of a split run failed: {payload.decode()}")
+    if got != kind:
+        raise SplitRunError(f"split run expected a {kind!r} message, got {got!r}")
+    return payload
+
+
+def _recv_delta(fd) -> float:
+    return struct.unpack("<d", _recv(fd, b"d"))[0]
+
+
+def _read_exactly(fd, size: int) -> bytes:
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = os.read(fd, size - len(buf))
+        if not chunk:
+            raise SplitRunError("the other half of a split run ended without a result")
+        buf += chunk
+    return bytes(buf)
 
 
 def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
@@ -489,6 +627,11 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
     and argument equidistribution diagnostics instead.  An
     escaped seed raises MapEscapeError naming its grid node and step.
     n_max < 1 raises ValueError.
+
+    A grid of SPLIT_MIN_SEEDS nodes or more is stepped in two halves, the
+    second by one forked child (_in_halves), plain or at stride q, with the
+    bits of one process; the oscillation diagnostics read a hook and stay
+    in one process.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -499,8 +642,12 @@ def estimate_limit_map(m: AutoMap, grid: Grid2D, tol: float = 1e-12,
             return _rotation_oscillation_estimate(m, grid, n_max)
         q = fp.rotation.frac.denominator
     zhat, w0 = grid.seeds()
-    z, w, n_used, sup_delta = _lockstep_iterate(
-        m.eval_batch, from_transformed(zhat).ravel(), w0.ravel(), tol, n_max, stride=q or 1)
+    z0, w0_flat = from_transformed(zhat).ravel(), w0.ravel()
+    halves = _in_halves(lambda seeds, combine: _lockstep_iterate(
+        m.eval_batch, z0[seeds], w0_flat[seeds], tol, n_max, stride=q or 1,
+        combine=combine), z0.size)
+    z, w = (np.concatenate(col) for col in list(zip(*halves))[:2])
+    n_used, sup_delta = halves[0][2:]
     _raise_on_escape(m, zhat, w0, _escaped(z, w), n_used, "grid seeds")
     shape = (grid.nz, grid.nw)
     est = _finish_estimate(grid, z.reshape(shape), w.reshape(shape),
@@ -640,21 +787,46 @@ def track_product_sum_batch(m: AutoMap, zhat, w, n_max: int, tol: float = 0.0):
     the defect being the rounding drift between the two recurrences,
     max |w_n - (w_0 P_n + S_n)| / max(1, |w_n|) over every seed and step.  tol
     as in estimate_limit_map (0 runs all n_max steps); an escaped orbit, P or
-    S raises MapEscapeError."""
+    S raises MapEscapeError.  A batch of SPLIT_MIN_SEEDS seeds or more runs in
+    two halves, as in estimate_limit_map: each half returns its own P, S
+    and defect, the defects join by max, and the result has the bits of one
+    process."""
     return _product_sum_run(m, zhat, w, n_max, tol, None)[:4]
 
 
 def _product_sum_run(m, zhat, w, n_max, tol, record_every):
-    """The product/sum runner: one kernel call per step on the stacked rows
-    (z, 0) and (z, w); the step also takes the identity defect and the
-    partials (n, P_n, S_n) every record_every steps.
+    """The product/sum runner: _product_sum_slice on every seed, split over
+    two processes by _in_halves unless it records partials.  The halves'
+    P and S join in order and the defect is the max of theirs; the escape
+    check runs on the joined arrays.  Returns (P, S, defect, n_used,
+    partials)."""
+    zhat = np.ravel(np.asarray(zhat, dtype=complex))
+    w0 = np.array(np.ravel(w), dtype=complex)
+    z0 = from_transformed(zhat)
+
+    def run(seeds, combine):
+        return _product_sum_slice(m, z0[seeds], w0[seeds], n_max, tol, record_every,
+                                  combine)
+
+    halves = [run(slice(None), None)] if record_every else _in_halves(run, w0.size)
+    P, S, z, w = (np.concatenate(col) for col in list(zip(*halves))[:4])
+    defect = max(half[4] for half in halves)
+    n_used, partials = halves[0][5:]
+    escaped = _escaped(z, w) | ~(np.isfinite(P) & np.isfinite(S))
+    _raise_on_escape(m, zhat, w0, escaped, n_used, "product/sum seeds")
+    return P, S, defect, n_used, partials
+
+
+def _product_sum_slice(m, z0, w0, n_max, tol, record_every, combine):
+    """One kernel call per step on the stacked rows (z, 0) and (z, w); the
+    step also takes the identity defect and the partials (n, P_n, S_n)
+    every record_every steps.  Returns (P, S, z, w, defect, n_used,
+    partials) of these seeds.
 
     The defect is taken at every step, not only at the convergence checks:
     the drift is not monotone in n.  On the 48x48 rank-1 grid at
     (zhat, w) = (50, 0.5), spacing 1e-3, its max over 2000 steps is 7.44e-15
     (at step 1735) against 7.22e-15 over the 64-step checks."""
-    zhat = np.ravel(np.asarray(zhat, dtype=complex))
-    w0 = np.array(np.ravel(w), dtype=complex)
     P = np.ones_like(w0)
     S = np.zeros_like(w0)
     zz = np.empty((2,) + w0.shape, dtype=complex)   # rows (z, 0) and (z, w)
@@ -680,10 +852,8 @@ def _product_sum_run(m, zhat, w, n_max, tol, record_every):
             partials.append((n, P, S))
         return z, w
 
-    z, w, n_used, _ = _lockstep_iterate(step, from_transformed(zhat), w0, tol, n_max)
-    escaped = _escaped(z, w) | ~(np.isfinite(P) & np.isfinite(S))
-    _raise_on_escape(m, zhat, w0, escaped, n_used, "product/sum seeds")
-    return P, S, defect, n_used, partials
+    z, w, n_used, _ = _lockstep_iterate(step, z0, w0, tol, n_max, combine=combine)
+    return P, S, z, w, defect, n_used, partials
 
 
 def _dyadic_cauchy(values) -> bool:

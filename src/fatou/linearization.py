@@ -412,7 +412,9 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
     """Split the majorant into the divisor-free eta and divisor-only delta.
 
     (c, N) must be a valid Diophantine certificate for theta0 up to D; the
-    divisors used are those of lambda_0 = e^{2 pi i theta0}.
+    divisors used are those of lambda_0 = e^{2 pi i theta0}.  Raises
+    MajorantOverflowError at the first degree where sigma, eta or delta is
+    not finite, in that order (delta from n = 56 for theta0 = 1/3 + 1e-10).
     """
     cert = check_siegel(theta0, c, N, max(D, 2))
     if not cert.ok:
@@ -424,7 +426,13 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
     divisors = compute_small_divisors(lam0, max(D, 2))
     sigma = majorant_sigma(M, divisors, D)
     eta = _majorant_recursion(M, np.ones(D + 1), D, "eta")
-    delta = _delta_sequence(divisors.eps_min, D)
+    with np.errstate(over="ignore", divide="ignore"):  # reported below, typed
+        delta = _delta_sequence(divisors.eps_min, D)
+    bad = np.flatnonzero(~np.isfinite(delta))
+    if bad.size:
+        raise MajorantOverflowError(
+            f"majorant delta_n is not finite at degree n = {bad[0]}; "
+            f"lower the order below {bad[0]}")
     # sigma/eta against delta: eta delta overflows (from n = 218 at M = 1)
     # while each factor is finite; eta_n = 0 only with sigma_n = 0 (M = 0)
     ok = bool(np.all(sigma[2:] / np.maximum(eta[2:], 1e-300) <= delta[2:] * (1 + 1e-9)))

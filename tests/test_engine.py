@@ -2,10 +2,15 @@
 
 Every comparison asks for equal bits: the block engine runs the same steps
 with the same float operations, and its hooks read the same states, only
-a block of rows at a time.
+a block of rows at a time.  A wide hook-free run split over two processes
+is compared with the same run in one.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +18,7 @@ import pytest
 
 import engine_oracle as oracle
 from fatou import dynamics as dyn
-from fatou.dynamics import Grid2D, RegionUNM
+from fatou.dynamics import Grid2D, RegionUNM, SplitRunError
 from fatou.maps import MapEscapeError, rank0_map, rank1_map, rotation_map
 
 H0 = rank0_map(2)
@@ -299,3 +304,249 @@ def test_product_sum_partials_match():
     assert same((trk.P, trk.S, trk.identity_defect, trk.n_performed),
                 (complex(P[0]), complex(S[0]), defect, n))
     assert same(trk.partials, [(k, complex(p[0]), complex(s[0])) for k, p, s in partials])
+
+
+# -- the split over two processes -------------------------------------------------------
+
+
+# estimate_limit_map and track_product_sum_batch step a batch of at least
+# SPLIT_MIN_SEEDS seeds in two halves, the second in one forked child.  Each
+# test runs the split and the one-process path (forced by raising the
+# threshold) and asks for equal bits; the hygiene tests check that no child
+# is left after a call, whether it returns or raises.
+
+WIDE = Grid2D(50 + 0j, 0.5 + 0j, 32, 32, 1e-3)      # 1,024 seeds
+two_cores = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
+    reason="the split needs os.fork and two usable cores")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of forks made so far; os.fork is wrapped to count them."""
+    count = [0]
+    fork = os.fork
+
+    def counted():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def both_ways(monkeypatch, forks, call):
+    """call() split and in one process, and the forks the split made."""
+    split = call()
+    made = forks[0]
+    with monkeypatch.context() as mp:
+        mp.setattr(dyn, "SPLIT_MIN_SEEDS", math.inf)
+        one = call()
+    assert forks[0] == made
+    return split, one, made
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@two_cores
+def test_split_threshold(forks):
+    assert dyn.SPLIT_MIN_SEEDS == 1000
+    dyn.estimate_limit_map(H1, Grid2D(50 + 0j, 0.5 + 0j, 10, 99, 1e-3), tol=0.0, n_max=64)
+    assert forks[0] == 0
+    dyn.estimate_limit_map(H1, Grid2D(50 + 0j, 0.5 + 0j, 10, 100, 1e-3), tol=0.0, n_max=64)
+    assert forks[0] == 1 and no_child_left()
+
+
+@two_cores
+def test_split_limit_map_48x48_at_tol_1e8(monkeypatch, forks):
+    grid = Grid2D(50 + 0j, 0.5 + 0j, 48, 48, 1e-3)
+    split, one, made = both_ways(monkeypatch, forks,
+                                 lambda: dyn.estimate_limit_map(H1, grid, tol=1e-8))
+    assert made == 1
+    assert split.stop_reason == "converged" and split.numerical_rank == 1
+    assert same(split, one)
+
+
+@two_cores
+def test_split_limit_map_rational_rotation(monkeypatch, forks):
+    # stride 3; tol 1e-10 stops at a check, n_max = 1000 ends off the 64-step grid
+    for tol, n_max in ((1e-10, 20000), (0.0, 1000)):
+        split, one, made = both_ways(
+            monkeypatch, forks, lambda: dyn.estimate_limit_map(ROT3, WIDE, tol=tol, n_max=n_max))
+        assert split.rotation_order == 3
+        assert same(split, one)
+    assert made == 2
+
+
+@two_cores
+@pytest.mark.parametrize("tol, n_max", [(0.0, 300), (1e-6, 3000)])
+@pytest.mark.parametrize("order", [1, -1])
+def test_split_product_sum(monkeypatch, forks, tol, n_max, order):
+    # the seeds in reverse order swap the halves, so that each half in turn
+    # holds the largest defect
+    zhat, w = (a.ravel()[::order] for a in WIDE.seeds())
+    split, one, made = both_ways(
+        monkeypatch, forks, lambda: dyn.track_product_sum_batch(H1, zhat, w, n_max, tol))
+    assert made == 1
+    assert same(split, one)
+    assert (split[3] < n_max) == (tol > 0)      # tol 1e-6 stops at a check
+
+
+@two_cores
+def test_split_product_sum_against_the_per_step_engine(forks):
+    zhat, w = WIDE.seeds()
+    got = dyn.track_product_sum_batch(H1, zhat, w, 300, 0.0)
+    assert forks[0] == 1
+    assert same(list(got), list(oracle.product_sum_run(H1, zhat, w, 300, 0.0, None)[:4]))
+
+
+@two_cores
+def test_split_escapes_raise_the_same_error(monkeypatch, forks):
+    # ScaleMap multiplies z by 10: seeds from z = 5e90 up escape within 10 steps,
+    # in both halves of the batch
+    grid = Grid2D(complex(dyn.to_transformed(np.complex128(5e90))), 0.5 + 0j, 40, 30, 1e-91)
+    zhat, w = grid.seeds()
+    for call in (lambda: dyn.estimate_limit_map(ScaleMap(), grid, tol=0.0, n_max=200),
+                 lambda: dyn.track_product_sum_batch(ScaleMap(), zhat, w, 200)):
+        split, one, _ = both_ways(monkeypatch, forks, lambda: outcome(call))
+        assert split[0] == "raised" and split[1] == MapEscapeError.__name__
+        assert "1200 of 1200" in split[2]
+        assert same(split, one)
+    # escapes in the second half only: its local sup-delta turns NaN once its
+    # seeds are not finite (step 305), and fmax lets the first half's stop
+    # the run at the next check, as np.fmax.reduce does in one process
+    w = np.r_[np.ones(600), np.full(600, 1e4)] + 0j
+    zhat = np.full(1200, 50 + 0j)
+    split, one, _ = both_ways(monkeypatch, forks, lambda: outcome(
+        lambda: dyn.track_product_sum_batch(GrowMap(), zhat, w, 5000, 1e-12)))
+    assert "600 of 1200 product/sum seeds" in split[2] and "within 320 steps" in split[2]
+    assert same(split, one)
+    assert forks[0] == 3 and no_child_left()
+
+
+class GrowMap:
+    """(z, w) -> (z/2, w/2), but w -> 10 w once |w| > 1e3: seeds from w = 1e4
+    escape and turn non-finite, and the rest converge."""
+
+    fastpath = None
+
+    def eval_batch(self, z, w):
+        w = np.asarray(w, dtype=complex)
+        return np.asarray(z, dtype=complex) / 2, np.where(np.abs(w) > 1e3, w * 10, w / 2)
+
+
+class ChildFails:
+    """rank-1 steps in the process that built it; elsewhere the step fails."""
+
+    fastpath = None
+
+    def __init__(self, fail):
+        self.parent = os.getpid()
+        self.fail = fail
+
+    def eval_batch(self, z, w):
+        if os.getpid() != self.parent:
+            self.fail()
+        return H1.eval_batch(z, w)
+
+
+@two_cores
+def test_a_failing_child_raises_a_typed_error(forks):
+    def boom():
+        raise ZeroDivisionError("boom in the child")
+
+    cpus = os.sched_getaffinity(0)
+    with pytest.raises(SplitRunError, match="ZeroDivisionError: boom in the child"):
+        dyn.estimate_limit_map(ChildFails(boom), WIDE, tol=0.0, n_max=200)
+    assert forks[0] == 1 and no_child_left()
+    assert os.sched_getaffinity(0) == cpus
+
+
+@two_cores
+def test_a_killed_child_raises_a_typed_error(forks):
+    def die():
+        os.kill(os.getpid(), 9)
+
+    zhat, w = WIDE.seeds()
+    with pytest.raises(SplitRunError, match="ended without a result"):
+        dyn.track_product_sum_batch(ChildFails(die), zhat, w, 200)
+    assert forks[0] == 1 and no_child_left()
+
+
+@two_cores
+def test_an_interrupted_parent_kills_and_reaps_the_child(forks):
+    class ParentInterrupted:
+        fastpath = None
+
+        def __init__(self):
+            self.parent = os.getpid()
+            self.calls = 0
+
+        def eval_batch(self, z, w):
+            if os.getpid() == self.parent:
+                self.calls += 1
+                if self.calls == 100:
+                    raise KeyboardInterrupt
+            return H1.eval_batch(z, w)
+
+    cpus = os.sched_getaffinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        dyn.estimate_limit_map(ParentInterrupted(), WIDE, tol=0.0, n_max=10**6)
+    assert forks[0] == 1 and no_child_left()
+    assert os.sched_getaffinity(0) == cpus
+
+
+@two_cores
+def test_other_threads_keep_one_process(forks):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        dyn.estimate_limit_map(H1, WIDE, tol=0.0, n_max=64)
+    finally:
+        stop.set()
+        thread.join()
+    assert forks[0] == 0
+
+
+@two_cores
+def test_hooked_runs_keep_one_process(forks):
+    zhat, w = WIDE.seeds()
+    dyn.check_growth_bounds(H1, zhat.ravel(), w.ravel(), 64)
+    dyn.estimate_limit_map(rotation_map(2 * math.pi * 0.6180339887498949), WIDE, n_max=64)
+    assert forks[0] == 0
+
+
+@two_cores
+def test_buffered_output_is_written_once():
+    # stdout to a pipe is block-buffered, so the text is still in the buffer
+    # when the run forks; the child must neither flush it nor write its own,
+    # even where the map it steps writes to both streams
+    probe = (
+        "import os\n"
+        "from fatou import dynamics as dyn, rank1_map\n"
+        "class Loud:\n"
+        "    fastpath = None\n"
+        "    def eval_batch(self, z, w, parent=os.getpid()):\n"
+        "        if os.getpid() != parent:\n"
+        "            os.write(1, b'child stdout\\n')\n"
+        "            os.write(2, b'child stderr\\n')\n"
+        "        return rank1_map().eval_batch(z, w)\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "print('before the run')\n"
+        "dyn.estimate_limit_map(Loud(), dyn.Grid2D(50, 0.5, 32, 32, 1e-3), tol=0.0, n_max=200)\n"
+        "print('after the run, forks:', len(forks))\n"
+    )
+    src = os.path.dirname(os.path.dirname(dyn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "before the run\nafter the run, forks: 1\n"
+    assert out.stderr == ""

@@ -364,6 +364,22 @@ def test_majorant_overflow_names_the_degree():
         solve_psi(quadratic_test_family(LAM), LAM, 250)
 
 
+def test_delta_overflow_names_the_degree():
+    # near 1/3 the divisors at multiples of 3 are about 5e-10, and delta
+    # leaves the double range at k = 56; a small M keeps sigma finite there,
+    # so delta's overflow is the one that raises, with no numpy warning
+    theta = 1 / 3 + 1e-10
+    c = max_c(theta, 1.0, 80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MajorantOverflowError, match=r"delta_n .* n = 56"):
+            majorant_split(1e-6, theta, c, 1.0, 80)
+    eps = compute_small_divisors(cmath.exp(2j * math.pi * theta), 80).eps_min
+    with np.errstate(over="ignore"):
+        delta = _delta_sequence(eps, 80)
+    assert np.isfinite(delta[55]) and not np.isfinite(delta[56])
+
+
 def test_majorant_domination():
     res = solve_psi(quadratic_test_family(LAM), LAM, 40)
     norms = res.psi_norms().astype(float)

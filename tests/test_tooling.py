@@ -2,11 +2,14 @@
 
 perfbench/tracing.py patches fatou functions by name for `run.py --trace 1`;
 a rename or deletion under src/ would break that run, so it fails here.
-Every name in an ``__all__`` of the package and its modules resolves too.
+Every name in an ``__all__`` of the package and its modules resolves too,
+and importing the package starts no process machinery.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +88,24 @@ def test_limit_map_makes_one_kernel_call_per_step(tracing):
         tracer.uninstall()
     assert est.iterations_used == 100
     assert tracer.round_metrics()["maps.eval_batch.calls"] == 100
+
+
+def test_import_starts_no_process_machinery():
+    # the split over two processes uses os.fork directly: importing the
+    # package and its CLI loads no process pool and starts no process, so
+    # the benchmark's setup_s does not pay for either
+    probe = (
+        "import os, sys\n"
+        "started = []\n"
+        "for name in ('fork', 'forkpty', 'posix_spawn', 'posix_spawnp', 'system', 'popen',\n"
+        "             'execv', 'execve', 'spawnv', 'spawnve'):\n"
+        "    if hasattr(os, name):\n"
+        "        setattr(os, name, lambda *a, name=name, **k: started.append(name))\n"
+        "import fatou, fatou.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'subprocess')\n"
+        "             if m in sys.modules), started)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[] []\n"
