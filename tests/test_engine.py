@@ -6,6 +6,7 @@ a block of rows at a time.  A wide hook-free run split over two processes
 is compared with the same run in one.
 """
 
+import errno
 import math
 import os
 import subprocess
@@ -309,11 +310,11 @@ def test_product_sum_partials_match():
 # -- the split over two processes -------------------------------------------------------
 
 
-# estimate_limit_map and track_product_sum_batch step a batch of at least
-# SPLIT_MIN_SEEDS seeds in two halves, the second in one forked child.  Each
+# The engine steps a hook-free run of at least SPLIT_MIN_SEEDS seeds and
+# CHECK_EVERY strides in two halves, the second in one forked child.  Each
 # test runs the split and the one-process path (forced by raising the
 # threshold) and asks for equal bits; the hygiene tests check that no child
-# is left after a call, whether it returns or raises.
+# and no open fd is left after a call, whether it returns or raises.
 
 WIDE = Grid2D(50 + 0j, 0.5 + 0j, 32, 32, 1e-3)      # 1,024 seeds
 two_cores = pytest.mark.skipif(
@@ -352,13 +353,21 @@ def no_child_left():
     return True
 
 
+def open_fds():
+    """The number of fds this process has open; None without /proc/self/fd,
+    where the before/after checks compare None with None."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 @two_cores
 def test_split_threshold(forks):
     assert dyn.SPLIT_MIN_SEEDS == 1000
     dyn.estimate_limit_map(H1, Grid2D(50 + 0j, 0.5 + 0j, 10, 99, 1e-3), tol=0.0, n_max=64)
     assert forks[0] == 0
+    fds = open_fds()
     dyn.estimate_limit_map(H1, Grid2D(50 + 0j, 0.5 + 0j, 10, 100, 1e-3), tol=0.0, n_max=64)
     assert forks[0] == 1 and no_child_left()
+    assert open_fds() == fds
 
 
 @two_cores
@@ -460,9 +469,11 @@ def test_a_failing_child_raises_a_typed_error(forks):
         raise ZeroDivisionError("boom in the child")
 
     cpus = os.sched_getaffinity(0)
+    fds = open_fds()
     with pytest.raises(SplitRunError, match="ZeroDivisionError: boom in the child"):
         dyn.estimate_limit_map(ChildFails(boom), WIDE, tol=0.0, n_max=200)
     assert forks[0] == 1 and no_child_left()
+    assert open_fds() == fds
     assert os.sched_getaffinity(0) == cpus
 
 
@@ -472,9 +483,11 @@ def test_a_killed_child_raises_a_typed_error(forks):
         os.kill(os.getpid(), 9)
 
     zhat, w = WIDE.seeds()
+    fds = open_fds()
     with pytest.raises(SplitRunError, match="ended without a result"):
         dyn.track_product_sum_batch(ChildFails(die), zhat, w, 200)
     assert forks[0] == 1 and no_child_left()
+    assert open_fds() == fds
 
 
 @two_cores
@@ -494,10 +507,75 @@ def test_an_interrupted_parent_kills_and_reaps_the_child(forks):
             return H1.eval_batch(z, w)
 
     cpus = os.sched_getaffinity(0)
+    fds = open_fds()
     with pytest.raises(KeyboardInterrupt):
         dyn.estimate_limit_map(ParentInterrupted(), WIDE, tol=0.0, n_max=10**6)
     assert forks[0] == 1 and no_child_left()
+    assert open_fds() == fds
     assert os.sched_getaffinity(0) == cpus
+
+
+@two_cores
+def test_a_failed_fork_runs_in_one_process(monkeypatch):
+    # os.fork raising (EAGAIN: no process to spare) closes the pipes and
+    # runs every seed in the parent
+    tried = []
+
+    def no_fork():
+        tried.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dyn, "SPLIT_MIN_SEEDS", math.inf)
+        one = dyn.estimate_limit_map(H1, WIDE, tol=1e-9, n_max=3000)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = open_fds()
+    got = dyn.estimate_limit_map(H1, WIDE, tol=1e-9, n_max=3000)
+    assert open_fds() == fds
+    assert tried == [1] and same(got, one)
+
+
+@two_cores
+def test_carry_joins_in_seed_order(monkeypatch, forks):
+    # extra per-seed arrays ride along: the seed index and a step counter
+    # come back joined in seed order, and n_used and sup-delta agree
+    def step(z, w, idx, count):
+        return z / 2, w / 2, idx, count + 1
+
+    z = np.arange(1, 1201) + 0j
+    split, one, made = both_ways(monkeypatch, forks, lambda: dyn._lockstep_iterate(
+        step, z, z, 1e-12, 10**4, carry=(np.arange(1200), np.zeros(1200, dtype=int))))
+    assert made == 1
+    assert same(split, one)
+    z, w, idx, count, n_used, sup_delta = split
+    assert same(idx, np.arange(1200))
+    assert n_used == 64 and same(count, np.full(1200, 64))
+    assert sup_delta < 1e-12 and same(z, w)
+
+
+@two_cores
+def test_wide_coverage_splits(monkeypatch, forks):
+    split, one, made = both_ways(monkeypatch, forks, lambda: dyn.waxis_coverage(
+        H1, 1.0, -1 / 200 + 0j, ring_samples=1200))
+    assert made == 1 and split.covered
+    assert same(split, one)
+
+
+@two_cores
+def test_short_runs_keep_one_process(monkeypatch, forks):
+    # a run of fewer than CHECK_EVERY strides would not repay the fork:
+    # check_equivariance's q steps, n_max < 64, and the rotation's stride 3
+    # below 192 steps
+    est = dyn.estimate_limit_map(H1, WIDE, tol=0.0, n_max=64)
+    assert forks[0] == 1
+    for call in (lambda: dyn.check_equivariance(H1, est),
+                 lambda: dyn.estimate_limit_map(H1, WIDE, tol=0.0, n_max=63),
+                 lambda: dyn.estimate_limit_map(ROT3, WIDE, tol=0.0, n_max=191)):
+        split, one, _ = both_ways(monkeypatch, forks, call)
+        assert same(split, one)
+    assert forks[0] == 1
+    dyn.estimate_limit_map(ROT3, WIDE, tol=0.0, n_max=192)
+    assert forks[0] == 2 and no_child_left()
 
 
 @two_cores

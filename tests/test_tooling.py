@@ -3,9 +3,11 @@
 perfbench/tracing.py patches fatou functions by name for `run.py --trace 1`;
 a rename or deletion under src/ would break that run, so it fails here.
 Every name in an ``__all__`` of the package and its modules resolves too,
-and importing the package starts no process machinery.
+importing the package starts no process machinery, and one function of
+fatou.dynamics decides on the split over two processes.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -109,3 +111,19 @@ def test_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout == "[] []\n"
+
+
+def test_only_the_engine_splits():
+    # the split over two processes is decided in one place: _in_halves is
+    # named only in _lockstep_iterate, and no function takes a combine callback
+    dyn = importlib.import_module("fatou.dynamics")
+    tree = ast.parse(Path(dyn.__file__).read_text())
+    users = [top.name if isinstance(top, ast.FunctionDef) else type(top).__name__
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id == "_in_halves"]
+    assert users == ["_lockstep_iterate"]
+    takes_combine = [
+        getattr(node, "name", "lambda") for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "combine" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert takes_combine == []
