@@ -7,8 +7,8 @@ config file (INI key=value sections) supplies defaults; every flag
 overrides its config key.  Each output embeds the effective config and the
 package version; numbers are written with 17 significant digits so reruns
 are byte-identical apart from the generated_at stamp.  linearize and sweep
-switch the recursion to double-double when a small divisor is below 1e-8
-and report it as precision_mode.
+form the small divisors in double-double when a plain one is below 1e-8
+and report it as precision_mode; psi itself runs in complex128.
 """
 
 from __future__ import annotations

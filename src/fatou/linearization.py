@@ -14,9 +14,9 @@ The right-hand side comes from a table of the powers (psi^1)^i (psi^2)^j,
 i + j <= K (the jet order), each extended by one coefficient per degree
 with one dot product against the power it extends (online, or relaxed,
 multiplication; van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
-That is O(K^2 D^2) in all.  The same numpy expressions run on complex128
-arrays and on object arrays of double-double scalars (fatou.ddc), which
-solve_psi switches to when some divisor is below 1e-8.
+That is O(K^2 D^2) in all, in complex128.  Near resonance the loss is in
+the divisors: below 1e-8 they are formed in double-double and rounded once
+(fatou.ddc), which keeps each psi_n within a few ulps normwise.
 
 The majorant machinery bounds ||psi_n|| by sigma_n (one recursion with the
 divisors in place), and sigma_n <= eta_n delta_n splits the problem into a
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Series1C2, Series2, SeriesError, series1_eval, tri_index
-from .ddc import DDComplex
+from . import ddc
 from .diophantine import _theta_value, check_siegel
 
 __all__ = [
@@ -89,7 +89,7 @@ class SmallDivisors:
 
     Arrays are indexed by n directly (entries 0 and 1 are unused zeros).
     Powers come from repeated multiplication, never exp(n log lambda), so
-    consecutive entries satisfy eps1[n] = lambda * eps2[n-1] to the bit.
+    eps1[n] = lambda * eps2[n-1] to the bit (to rounding for fatou.ddc's).
     """
 
     lam: complex
@@ -143,7 +143,7 @@ class LinearizationResult:
     rho_estimate: float       # 1/(a b M); a fitted from delta, b from eta's radius
     a_fitted: float
     b_radius: float
-    precision_mode: str       # "double" | "double-double"
+    precision_mode: str       # divisors formed in "double" | "double-double"
     majorant_ok: bool         # ||psi_n|| <= sigma_n for all computed n
     basis: np.ndarray | None  # eigenbasis used to reach the normal form, or None
 
@@ -206,23 +206,25 @@ def _jet_max_norm(F_jet) -> float:
     return float(np.max(np.hypot(c.real, c.imag), initial=0.0))
 
 
-# the scalar each precision mode runs the recursion in
-_NUM = {"double": complex, "dd": DDComplex.of}
+def _divisors(lam: complex, D: int, precision: str):
+    """The divisors and their mode: fatou.ddc's for "dd", and for "auto" when
+    a plain divisor is below 1e-8, else the plain ones."""
+    divisors = compute_small_divisors(lam, D)
+    if precision == "auto":
+        precision = "dd" if divisors.min_modulus() < DD_ESCALATION_THRESHOLD else "double"
+    if precision not in ("double", "dd"):
+        raise ValueError("precision must be 'auto', 'double' or 'dd'")
+    if precision == "dd":
+        divisors = SmallDivisors(lam, D, *ddc.small_divisors(lam, D))
+    return divisors, precision
 
 
 def _prepare(F_jet, lam, D: int, precision: str):
-    """lambda as complex, the normal form and its basis, the divisors, the
-    precision mode and the nonlinear part N = F - linear part."""
-    if D < 2:
-        raise ValueError("D must be >= 2")
+    """lambda as complex, the normal form and its basis, the divisors, their
+    mode and the nonlinear part N = F - linear part."""
     lam = complex(lam)
+    divisors, mode = _divisors(lam, D, precision)  # raises first for D < 2
     F_jet, basis = _normalize_jet(F_jet, lam)
-    divisors = compute_small_divisors(lam, D)
-    mode = precision
-    if precision == "auto":
-        mode = "dd" if divisors.min_modulus() < DD_ESCALATION_THRESHOLD else "double"
-    if mode not in ("double", "dd"):
-        raise ValueError("precision must be 'auto', 'double' or 'dd'")
     return lam, F_jet, basis, divisors, mode, _nonlinear_part(F_jet, lam)
 
 
@@ -232,9 +234,9 @@ def solve_psi(F_jet, lam: complex, D: int, *,
 
     psi_n comes from the degree-n coefficients of N(psi), which involve
     psi_1..psi_{n-1} only, divided by lambda^n - lambda and lambda^n - 1.
-    precision "auto" escalates to double-double when some small divisor has
-    modulus below 1e-8; "double" and "dd" force the mode.  Either way the
-    coefficients are rounded to complex128 at the end.  Besides psi it
+    precision decides the divisors only: "auto" forms them in double-double
+    when some plain one has modulus below 1e-8, and "double" and "dd" force
+    the mode; sigma and delta read the same divisors.  Besides psi it
     computes sigma (before psi, so that its overflow raises first), delta's
     growth fit, eta's radius and the residual; _solve_psi_only skips these
     and returns the same psi.
@@ -243,7 +245,7 @@ def solve_psi(F_jet, lam: complex, D: int, *,
     M = _jet_max_norm(F_jet)
     sigma = majorant_sigma(M, divisors, D)  # raises before psi is solved for
 
-    psi = _solve_recursion(N_pair, lam, D, _NUM[mode])
+    psi = _solve_recursion(N_pair, divisors, D)
 
     norms = psi.norms().astype(float)
     majorant_ok = bool(np.all(norms[2:] <= sigma[2:] * (1 + 1e-9) + 1e-300))
@@ -267,12 +269,12 @@ def _solve_psi_only(F_jet, lam: complex, D: int) -> Series1C2:
     """psi of solve_psi(F_jet, lam, D), bit for bit, without its majorants,
     growth fits and residual: the normal form, the divisors and the same
     1e-8 precision decision, then the recursion."""
-    lam, _, _, _, mode, N_pair = _prepare(F_jet, lam, D, "auto")
-    return _solve_recursion(N_pair, lam, D, _NUM[mode])
+    _, _, _, divisors, _, N_pair = _prepare(F_jet, lam, D, "auto")
+    return _solve_recursion(N_pair, divisors, D)
 
 
-def _solve_recursion(N_pair, lam: complex, D: int, num) -> Series1C2:
-    """psi to degree D in the arithmetic of num, complex or DDComplex.of.
+def _solve_recursion(N_pair, divisors: SmallDivisors, D: int) -> Series1C2:
+    """psi to degree D in complex128, dividing by the given divisors.
 
     Row r of T holds the coefficients of the monomial mono[r] in psi, in
     graded order, so rows 0 and 1 are psi^1 and psi^2.  A row of degree
@@ -280,25 +282,21 @@ def _solve_recursion(N_pair, lam: complex, D: int, num) -> Series1C2:
     psi_0 = 0, its degree-n entry needs base to degree n-1 and prev to
     degree n-1 only, so all of them are known before psi_n is solved for.
     """
-    K = max(2, N_pair[0].order, N_pair[1].order)  # K >= 2: no empty object sums
+    K = max(2, N_pair[0].order, N_pair[1].order)  # K >= 2: no empty index arrays
     mono = [(d - j, j) for d in range(1, K + 1) for j in range(d + 1)]
     row = {m: r for r, m in enumerate(mono)}
     hi = np.arange(2, len(mono))
     base = np.array([0 if i else 1 for i, j in mono[2:]])
     prev = np.array([row[(i - 1, j) if i else (i, j - 1)] for i, j in mono[2:]])
-    dtype = np.complex128 if num is complex else object
-    coef = np.array([[num(N.get(i, j) if i + j <= N.order else 0.0) for i, j in mono[2:]]
-                     for N in N_pair], dtype=dtype)
-    T = np.full((len(mono), D + 1), num(0.0), dtype=dtype)
-    T[0, 1] = num(1.0)
-    lam_, one = num(lam), num(1.0)
-    power = lam_
+    coef = np.array([[N.get(i, j) if i + j <= N.order else 0.0 for i, j in mono[2:]]
+                     for N in N_pair], dtype=complex)
+    T = np.zeros((len(mono), D + 1), dtype=complex)
+    T[0, 1] = 1.0
     for n in range(2, D + 1):
         T[hi, n] = (T[base, 1:n] * T[prev, n - 1:0:-1]).sum(axis=1)
         rhs = (coef * T[hi, n]).sum(axis=1)
-        power = power * lam_
-        T[:2, n] = rhs / np.array([power - lam_, power - one], dtype=dtype)
-    return Series1C2(D, T[:2].T.astype(np.complex128))
+        T[:2, n] = rhs / np.array([divisors.eps1[n], divisors.eps2[n]])
+    return Series1C2(D, T[:2].T.copy(order="K"))
 
 
 def residual(psi: Series1C2, F_jet, lam: complex, radius: float,
@@ -412,9 +410,9 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
     """Split the majorant into the divisor-free eta and divisor-only delta.
 
     (c, N) must be a valid Diophantine certificate for theta0 up to D; the
-    divisors used are those of lambda_0 = e^{2 pi i theta0}.  Raises
-    MajorantOverflowError at the first degree where sigma, eta or delta is
-    not finite, in that order (delta from n = 56 for theta0 = 1/3 + 1e-10).
+    divisors of lambda_0 = e^{2 pi i theta0} follow solve_psi's "auto" rule.
+    Raises MajorantOverflowError at the first degree where sigma, eta or
+    delta is not finite, in that order (delta from n = 56 at 1/3 + 1e-10).
     """
     cert = check_siegel(theta0, c, N, max(D, 2))
     if not cert.ok:
@@ -423,7 +421,7 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
             f"first violation at k = {cert.violations[0][0]}"
         )
     lam0 = cmath.exp(2j * math.pi * _theta_value(theta0))
-    divisors = compute_small_divisors(lam0, max(D, 2))
+    divisors, _ = _divisors(lam0, max(D, 2), "auto")
     sigma = majorant_sigma(M, divisors, D)
     eta = _majorant_recursion(M, np.ones(D + 1), D, "eta")
     with np.errstate(over="ignore", divide="ignore"):  # reported below, typed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import series_oracle
+from fatou import ddc
 from fatou.algebra import Series2, tri_index
 from fatou.diophantine import GOLDEN, SILVER, max_c
 from fatou.maps import rank0_map, rank1_map
@@ -104,6 +105,12 @@ def test_triangular_determinism_bitwise():
     r20 = solve_psi(quadratic_test_family(LAM), LAM, 20)
     r40 = solve_psi(quadratic_test_family(LAM), LAM, 40)
     assert np.array_equal(r40.psi.coeffs[:21], r20.psi.coeffs)
+    # near resonance the double-double divisors depend on n alone too
+    lam = cmath.exp(2j * math.pi * (1.0 / 3.0 + 1e-10))
+    r12 = solve_psi(quadratic_test_family(lam), lam, 12)
+    r40 = solve_psi(quadratic_test_family(lam), lam, 40)
+    assert r12.precision_mode == r40.precision_mode == "double-double"
+    assert r40.psi.coeffs[:13].tobytes() == r12.psi.coeffs.tobytes()
 
 
 def test_functional_equation_residual():
@@ -284,8 +291,8 @@ def _mp_quadratic_psi(mp, lam, D):
 
 
 def test_dd_psi_matches_mpmath_near_resonance():
-    # |lambda^3 - 1| ~ 6e-10: double-double keeps every coefficient to the
-    # last bit of binary64, while double loses about 8 digits
+    # |lambda^3 - 1| ~ 6e-10: double-double divisors keep every coefficient
+    # within 6.5e-16 normwise (measured), while double loses about 8 digits
     mp = pytest.importorskip("mpmath")
     lam = cmath.exp(2j * math.pi * (1.0 / 3.0 + 1e-10))
     D = 12
@@ -297,6 +304,49 @@ def test_dd_psi_matches_mpmath_near_resonance():
     assert _rel_err(dd.psi.coeffs, want) < 1e-15
     double = solve_psi(F, lam, D, precision="double")
     assert _rel_err(double.psi.coeffs, want) > 1e-9
+
+
+THETA_CASES = {
+    "third+1e-10": 1 / 3 + 1e-10,
+    "third+1e-12": 1 / 3 + 1e-12,
+    "two-fifths+1e-11": 2 / 5 + 1e-11,
+    "golden": GOLD,
+    "silver": SILVER.value(),
+    "third+1e-7": 1 / 3 + 1e-7,
+}
+
+
+@pytest.mark.parametrize("case", THETA_CASES)
+def test_compensated_divisors_match_mpmath(case):
+    # each part of lambda^n - lambda and lambda^n - 1 within an ulp of the
+    # exact value for the binary64 lambda, rounded to binary64
+    mp = pytest.importorskip("mpmath")
+    lam = cmath.exp(2j * math.pi * THETA_CASES[case])
+    D = 400
+    eps1, eps2 = ddc.small_divisors(lam, D)
+    with mp.workdps(60):
+        L = mp.mpc(lam.real, lam.imag)
+        power = L
+        for n in range(2, D + 1):
+            power *= L
+            for got, want in ((eps1[n], power - L), (eps2[n], power - 1)):
+                for g, w in ((got.real, float(want.real)), (got.imag, float(want.imag))):
+                    assert abs(g - w) <= math.ulp(w), (n, g, w)
+
+
+@pytest.mark.parametrize("theta, D", [
+    (1 / 3 + 1e-10, 12), (1 / 3 + 1e-10, 30), (1 / 3 + 1e-12, 30),
+    (2 / 5 + 1e-11, 30), (GOLD, 40), (1 / 3 + 1e-12, 40),
+])
+def test_dd_psi_within_16_eps_of_mpmath(theta, D):
+    # a psi recursion in binary64 with divisors rounded once: the error is
+    # normwise per degree, measured 6.2e-16 to 3.05e-15 on these cases
+    mp = pytest.importorskip("mpmath")
+    lam = cmath.exp(2j * math.pi * theta)
+    with mp.workdps(80):
+        want = _mp_quadratic_psi(mp, lam, D)
+    got = solve_psi(quadratic_test_family(lam), lam, D, precision="dd")
+    assert _rel_err(got.psi.coeffs, want) <= 16 * np.finfo(float).eps
 
 
 # -- majorants ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 perfbench/tracing.py patches fatou functions by name for `run.py --trace 1`;
 a rename or deletion under src/ would break that run, so it fails here.
 Every name in an ``__all__`` of the package and its modules resolves too,
-importing the package starts no process machinery, and one function of
-fatou.dynamics decides on the split over two processes.
+importing the package starts no process machinery, one function of
+fatou.dynamics decides on the split over two processes, and psi has one
+arithmetic path.
 """
 
 import ast
@@ -127,3 +128,18 @@ def test_only_the_engine_splits():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
         and "combine" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
     assert takes_combine == []
+
+
+def test_one_arithmetic_path_for_psi():
+    # psi runs in complex128 only: fatou.ddc forms divisors and defines no
+    # number class, and fatou.linearization names no object dtype
+    ddc = importlib.import_module("fatou.ddc")
+    lin = importlib.import_module("fatou.linearization")
+    tree = ast.parse(Path(ddc.__file__).read_text())
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == []
+    tree = ast.parse(Path(lin.__file__).read_text())
+    named = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "object"]
+    spelled = [k.value.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+               for k in n.keywords if k.arg == "dtype" and isinstance(k.value, ast.Constant)
+               and k.value.value in ("O", "object")]
+    assert named == spelled == []
