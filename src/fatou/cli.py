@@ -295,7 +295,7 @@ def cmd_limit(args) -> int:
         region = _region(args)
         if region is None:
             raise ValueError("limit needs --grid-origin or --region")
-        origin = (region.N + 1.0, 0.5)
+        origin = (complex(region.N + 1.0), complex(0.5))
     grid = Grid2D(origin[0], origin[1], nz, nw, float(args.grid_step or 1e-3))
     est = estimate_limit_map(
         m, grid, tol=float(args.tol) if args.tol is not None else 1e-12,
@@ -426,6 +426,10 @@ def cmd_diophantine(args) -> int:
     n_exp = float(args.N or 1.0)
     kmax = int(args.kmax or 10**5)
     c_open, c_min, argmin, running = max_c_detail(th, n_exp, kmax)
+    if args.c is None and c_open == 0:
+        raise ValueError(f"|e^(2 pi i k theta) - 1| = 0 at k = {argmin}, so no c > 0 "
+                         f"certifies theta = {th!r}; give a rational theta in (0, 1) "
+                         "as p/q")
     c = float(args.c) if args.c is not None else c_open
     cert = check_siegel(th, c, n_exp, kmax)
     cf = continued_fraction(th, 40)

@@ -87,11 +87,13 @@ SPLIT_MIN_SEEDS = 1000
 TAU1 = 1e-4
 TAU2 = 1e-7
 
-# Empirically recorded sufficient N for forward invariance of U_{N,M}:
-# smallest tested N with zero violations over 2x2000 boundary-biased samples
-# run 2000 steps (rank0 also clean at 1000 x 10^4).  Existence of such an N
-# is guaranteed; these values claim sufficiency, not minimality.  Keys are
-# (preset kind, M).
+# Empirically recorded N for forward invariance of U_{N,M}: smallest tested
+# N with zero violations over 2x2000 boundary-biased samples run 2000 steps
+# (rank0 also clean at 1000 x 10^4).  These values are sampled, not
+# proven sufficient, and the rank1 and rotation entries fall short:
+# rank1_map and rotation_map send (zhat, w) =
+# (50.0001 + 49i, 10(1 - 1e-12) e^{2.33i}), a point of U_{50,10}, to
+# |w_1| = 10.000779 in one step.  Keys are (preset kind, M).
 EMPIRICAL_MIN_N = {
     ("rank0", 10.0): 6.0,
     ("rank1", 10.0): 50.0,

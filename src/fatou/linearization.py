@@ -24,9 +24,10 @@ divisor-free part eta (whose generating function solves a scalar implicit
 equation with a computable radius 1/b) and a divisor-only part delta
 (a max over compositions, computed by a pairwise dynamic program).  The
 growth rate a of delta and the radius parameter b give the convergence
-radius estimate rho = 1/(a b M).  sigma and eta come from one online
-recursion in O(D^2) through sum_{nu>=2} (nu+1) s^nu = (1-s)^-2 - 1 - 2s;
-a degree whose value is not finite in double precision raises
+radius estimate rho = 1/(a b M); solve_psi and majorant_split take delta,
+a and b from one helper.  sigma and eta come from one online recursion in
+O(D^2) through sum_{nu>=2} (nu+1) s^nu = (1-s)^-2 - 1 - 2s; a degree
+whose sigma, eta or delta is not finite in double precision raises
 MajorantOverflowError naming the sequence and the degree.
 
 Every operation that produces psi_n depends on n alone, not on the
@@ -142,7 +143,7 @@ class LinearizationResult:
     residual_radius: float
     rho_estimate: float       # 1/(a b M); a fitted from delta, b from eta's radius
     a_fitted: float
-    b_radius: float
+    b_radius: float           # 1/w* of eta, 0 when M = 0
     precision_mode: str       # divisors formed in "double" | "double-double"
     majorant_ok: bool         # ||psi_n|| <= sigma_n for all computed n
     basis: np.ndarray | None  # eigenbasis used to reach the normal form, or None
@@ -151,16 +152,10 @@ class LinearizationResult:
         return self.psi.norms()
 
 
-def _linear_part(F_jet) -> np.ndarray:
-    P, Q = F_jet
-    return np.array(
-        [[P.get(1, 0), P.get(0, 1)], [Q.get(1, 0), Q.get(0, 1)]], dtype=complex
-    )
-
-
 def _normalize_jet(F_jet, lam: complex):
     """Conjugate the jet into the form (lambda z + O(2), w + O(2)) if needed."""
-    L = _linear_part(F_jet)
+    P, Q = F_jet
+    L = np.array([[P.get(1, 0), P.get(0, 1)], [Q.get(1, 0), Q.get(0, 1)]], dtype=complex)
     target = np.array([[lam, 0], [0, 1]], dtype=complex)
     if np.max(np.abs(L - target)) < 1e-12:
         return F_jet, None
@@ -174,7 +169,6 @@ def _normalize_jet(F_jet, lam: complex):
         )
     V = np.column_stack([vecs[:, i_lam], vecs[:, i_one]])
     Vinv = np.linalg.inv(V)
-    P, Q = F_jet
     P_v = P.compose_linear(V[0, 0], V[0, 1], V[1, 0], V[1, 1])
     Q_v = Q.compose_linear(V[0, 0], V[0, 1], V[1, 0], V[1, 1])
     new_P = P_v.scale(Vinv[0, 0]) + Q_v.scale(Vinv[0, 1])
@@ -237,26 +231,21 @@ def solve_psi(F_jet, lam: complex, D: int, *,
     precision decides the divisors only: "auto" forms them in double-double
     when some plain one has modulus below 1e-8, and "double" and "dd" force
     the mode; sigma and delta read the same divisors.  Besides psi it
-    computes sigma (before psi, so that its overflow raises first), delta's
-    growth fit, eta's radius and the residual; _solve_psi_only skips these
-    and returns the same psi.
+    computes sigma, then delta's growth fit and eta's radius (all before
+    psi, so that an overflow of sigma or delta raises first), and the
+    residual; _solve_psi_only skips these and returns the same psi.
     """
     lam, F_jet, basis, divisors, mode, N_pair = _prepare(F_jet, lam, D, precision)
     M = _jet_max_norm(F_jet)
-    sigma = majorant_sigma(M, divisors, D)  # raises before psi is solved for
+    sigma = majorant_sigma(M, divisors, D)
+    _, a_fit, b = _delta_growth(M, divisors, D)
 
     psi = _solve_recursion(N_pair, divisors, D)
 
     norms = psi.norms().astype(float)
     majorant_ok = bool(np.all(norms[2:] <= sigma[2:] * (1 + 1e-9) + 1e-300))
 
-    a_fit = _fit_growth(_delta_sequence(divisors.eps_min, D))
-    if M > 0:
-        b = eta_radius(M).b
-        rho = 1.0 / (a_fit * b * M)
-    else:
-        b = math.inf
-        rho = math.inf
+    rho = 1.0 / (a_fit * b * M) if M > 0 else math.inf
     r_test = rho / 2 if math.isfinite(rho) else 1.0
     res = residual(psi, F_jet, lam, r_test)
     return LinearizationResult(
@@ -424,19 +413,24 @@ def majorant_split(M: float, theta0, c: float, N: float, D: int) -> MajorantSpli
     divisors, _ = _divisors(lam0, max(D, 2), "auto")
     sigma = majorant_sigma(M, divisors, D)
     eta = _majorant_recursion(M, np.ones(D + 1), D, "eta")
+    delta, a, b = _delta_growth(M, divisors, D)
+    # sigma/eta against delta: eta delta overflows (from n = 218 at M = 1)
+    # while each factor is finite; eta_n = 0 only with sigma_n = 0 (M = 0)
+    ok = bool(np.all(sigma[2:] / np.maximum(eta[2:], 1e-300) <= delta[2:] * (1 + 1e-9)))
+    return MajorantSplit(M, eta, delta, b, a, sigma, ok)
+
+
+def _delta_growth(M: float, divisors: SmallDivisors, D: int):
+    """delta to degree D, its fitted growth a and eta's radius b = 1/w*, or
+    b = 0 when M = 0 (eta(w) = w is entire).  Raises MajorantOverflowError
+    at the first degree where delta is not finite (n = 56 at 1/3 + 1e-10)."""
     with np.errstate(over="ignore", divide="ignore"):  # reported below, typed
         delta = _delta_sequence(divisors.eps_min, D)
     bad = np.flatnonzero(~np.isfinite(delta))
     if bad.size:
-        raise MajorantOverflowError(
-            f"majorant delta_n is not finite at degree n = {bad[0]}; "
-            f"lower the order below {bad[0]}")
-    # sigma/eta against delta: eta delta overflows (from n = 218 at M = 1)
-    # while each factor is finite; eta_n = 0 only with sigma_n = 0 (M = 0)
-    ok = bool(np.all(sigma[2:] / np.maximum(eta[2:], 1e-300) <= delta[2:] * (1 + 1e-9)))
-    b = eta_radius(M).b if M > 0 else 0.0
-    a = _fit_growth(delta)
-    return MajorantSplit(M, eta, delta, b, a, sigma, ok)
+        raise MajorantOverflowError(f"majorant delta_n is not finite at degree n = "
+                                    f"{bad[0]}; lower the order below {bad[0]}")
+    return delta, _fit_growth(delta), eta_radius(M).b if M > 0 else 0.0
 
 
 def _fit_growth(seq: np.ndarray) -> float:
@@ -520,10 +514,10 @@ def exponential_bound_check(result: LinearizationResult,
     norms = result.psi_norms().astype(float)
     rate = _fit_growth(norms)
     nz = [n for n in range(2, len(norms)) if norms[n] > 0]
-    if not nz:
-        return BoundCheck(0.0, 0.0, split.a * split.b * split.M, True)
-    C = max(norms[n] / rate**n for n in nz) if rate > 0 else 0.0
     bound = split.a * split.b * split.M
+    if not nz:
+        return BoundCheck(0.0, 0.0, bound, True)
+    C = max(norms[n] / rate**n for n in nz) if rate > 0 else 0.0
     return BoundCheck(C, rate, bound, bool(rate <= bound * 1.1))
 
 

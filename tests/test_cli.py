@@ -183,6 +183,29 @@ def test_linearize_largest_finite_order_warns_nothing(tmp_path, capsys):
     assert d["D"] == 241 and d["majorant_ok"] is True
 
 
+@pytest.mark.parametrize("theta", ["6004799504962101/18014398509481984",
+                                   "0.3333333334333333"])
+def test_linearize_delta_overflow_exits_1(tmp_path, capsys, theta):
+    # theta = 1/3 + 1e-10 given exactly and as a float, jet (lambda z +
+    # 1e-6 w^2, w + 1e-6 z^2): sigma is finite to D = 60, delta is not from
+    # n = 56, so the command fails with the error lines only, not rho = null
+    from fatou.algebra import jet_to_json, tri_index
+
+    lam = cmath.exp(2j * math.pi * (1 / 3 + 1e-10))
+    P, Q = quadratic_test_family(lam)
+    P.coeffs[tri_index(0, 2)] = Q.coeffs[tri_index(2, 0)] = 1e-6
+    jet_path = tmp_path / "jet.json"
+    jet_path.write_text(jet_to_json((P, Q)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "linearize", "--theta", theta, "--order", "60",
+                         "--map", str(jet_path))
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == (
+        "error: majorant delta_n is not finite at degree n = 56; lower the order "
+        "below 56\nrun 'fatou linearize --help' for usage\n")
+
+
 def test_linearize_jet_file(tmp_path):
     import cmath
     import math
@@ -228,6 +251,23 @@ def test_diophantine_golden(tmp_path):
     assert d["ok"] is True
     assert d["partial_quotients"][:5] == [1, 1, 1, 1, 1]
     assert d["convergent_denominators"][:5] == [1, 2, 3, 5, 8]
+
+
+@pytest.mark.parametrize("theta, k", [("0.5", 2), ("0.25", 4), ("1.5", 2), ("0", 1)])
+def test_diophantine_float_rational_names_the_vanishing_k(tmp_path, capsys, theta, k):
+    # such a float is rational in binary64, so max_c is 0 and no c > 0
+    # certifies it; the error says where and how to give it instead
+    code, text = run(tmp_path, "diophantine", "--theta", theta)
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert f"|e^(2 pi i k theta) - 1| = 0 at k = {k}," in err and "p/q" in err
+
+
+def test_diophantine_float_rational_with_c_lists_violations(tmp_path):
+    code, text = run(tmp_path, "diophantine", "--theta", "0.5", "--c", "0.1")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["ok"] is False and d["violations"][0] == [2, 0.0, 0.05]
 
 
 def test_diophantine_rational_flag(tmp_path):
@@ -346,6 +386,61 @@ def test_limit_equivariance_defect_is_read_off_the_limits(tmp_path):
     d = json.loads(text)["data"]
     assert d["stop_reason"] == "converged"
     assert 0 < d["equivariance_defect"] <= 2 * d["sup_step_delta"]
+
+
+def test_limit_region_fallback_origin_is_complex(tmp_path):
+    # without --grid-origin the grid starts at (N + 1, 0.5), written as
+    # [re, im] pairs like a given origin, with the same limits
+    argv = ["limit", "--map", "rank1", "--grid", "2x2", "--tol", "1e-6",
+            "--n-max", "2000"]
+    code, text = run(tmp_path, *argv, "--region", "6,10")
+    assert code == 0
+    got = json.loads(text)["data"]
+    assert got["grid"]["zhat0"] == [7.0, 0.0] and got["grid"]["w0"] == [0.5, 0.0]
+    code, text = run(tmp_path, *argv, "--grid-origin", "7,0.5")
+    assert code == 0 and json.loads(text)["data"] == got
+
+
+def test_limit_rotation_rational_theta(tmp_path):
+    code, text = run(tmp_path, "limit", "--map", "rotation", "--theta", "1/3",
+                     "--grid", "3x3", "--grid-origin", "50,0.5", "--tol", "1e-8",
+                     "--n-max", "30000")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["stop_reason"] == "converged" and d["rotation_order"] == 3
+    assert d["numerical_rank"] == 1 and 0 < d["equivariance_defect"] < 1e-5
+
+
+def test_limit_rotation_golden_has_no_limit(tmp_path):
+    code, text = run(tmp_path, "limit", "--map", "rotation", "--theta", "golden",
+                     "--grid", "2x2", "--grid-origin", "50,0.5", "--n-max", "2000")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["stop_reason"] == "no_limit_full_sequence"
+    assert d["oscillation"]["window"] == 2000 and "equivariance_defect" not in d
+
+
+@pytest.mark.parametrize("argv", [("iterate", "--seed", "0.1,0.2"),
+                                  ("limit", "--grid-origin", "50,0.5")])
+def test_rotation_without_theta_exits_1(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv, "--map", "rotation")
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.startswith(
+        "error: rotation preset requires --theta (multiple of 2*pi)\n")
+
+
+def test_iterate_four_rows_are_the_composite(tmp_path):
+    from fatou.maps import four_map_composite
+
+    code, text = run(tmp_path, "iterate", "--map", "four", "--seed",
+                     "0.1+0.05i,0.2-0.1i", "--n", "20")
+    assert code == 0
+    rows = [line.split(",") for line in text.splitlines() if line[:1].isdigit()]
+    assert [int(r[0]) for r in rows] == list(range(21))
+    m, z, w = four_map_composite(), 0.1 + 0.05j, 0.2 - 0.1j
+    for row in rows:
+        assert [float(x) for x in row[1:5]] == [z.real, z.imag, w.real, w.imag]
+        z, w = m.eval(z, w)
 
 
 def test_curve_command(tmp_path):

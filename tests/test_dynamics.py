@@ -125,6 +125,18 @@ def test_forward_invariance_at_recorded_N():
     assert rep.ok
 
 
+@pytest.mark.parametrize("m", [H1, rotation_map(2 * math.pi * GOLD)])
+def test_recorded_N_of_rank1_and_rotation_is_not_sufficient(m):
+    # EMPIRICAL_MIN_N is sampled, not proven: this point of U_{50,10}
+    # leaves it in one step, which the sampled check does not find
+    N = EMPIRICAL_MIN_N[("rank1", 10.0)]
+    assert N == EMPIRICAL_MIN_N[("rotation", 10.0)] == 50.0
+    zhat, w = 50.0001 + 49j, 10 * (1 - 1e-12) * np.exp(2.33j)
+    assert RegionUNM(N, 10.0).contains(zhat, w)
+    _, w1 = m.eval(tr(zhat), w)
+    assert abs(abs(w1) - 10.000779) < 1e-6
+
+
 def test_invariance_violated_for_small_N():
     rep = verify_forward_invariance(H0, RegionUNM(1.0, 10.0), 200, 200)
     assert not rep.ok

@@ -430,6 +430,43 @@ def test_delta_overflow_names_the_degree():
     assert np.isfinite(delta[55]) and not np.isfinite(delta[56])
 
 
+def _quadratic_scaled(lam, scale=1e-6):
+    # F = (lambda z + scale w^2, w + scale z^2), so M = scale
+    P, Q = quadratic_test_family(lam)
+    P.coeffs[tri_index(0, 2)] = Q.coeffs[tri_index(2, 0)] = scale
+    return P, Q
+
+
+def test_delta_overflow_raises_in_solve_psi_and_the_sweep():
+    # at 1/3 + 1e-10 with M = 1e-6, sigma stays finite to D = 60 but delta
+    # leaves the double range at n = 56: a typed error, not rho = NaN
+    theta = 1 / 3 + 1e-10
+    lam = cmath.exp(2j * math.pi * theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MajorantOverflowError, match=r"delta_n .* n = 56"):
+            solve_psi(_quadratic_scaled(lam), lam, 60)
+        sw = parameter_sweep(_quadratic_scaled, theta, [0.99, 1.0, 1.01], 60)
+    assert list(sw.failures) == [1.0] and "delta_n" in sw.failures[1.0]
+    assert "n = 56" in sw.failures[1.0] and sw.smoothness_ok is None
+    res = solve_psi(_quadratic_scaled(lam), lam, 55)
+    assert all(map(math.isfinite, (res.a_fitted, res.b_radius, res.rho_estimate)))
+
+
+@pytest.mark.parametrize("family", [quadratic_test_family, linear_family])
+def test_solve_psi_and_the_split_share_a_and_b(family):
+    # one helper forms delta's fit a and eta's radius b for both; M = 0
+    # gives b = 0 (eta(w) = w is entire) and rho = inf
+    res = solve_psi(family(LAM), LAM, 40)
+    split = majorant_split(res.M, GOLDEN, max_c(GOLDEN, 1.0, 64), 1.0, 40)
+    assert res.a_fitted.hex() == split.a.hex()
+    assert res.b_radius.hex() == split.b.hex()
+    if res.M == 0:
+        assert res.b_radius == 0.0 and res.rho_estimate == math.inf
+    else:
+        assert res.rho_estimate == 1.0 / (split.a * split.b * res.M)
+
+
 def test_majorant_domination():
     res = solve_psi(quadratic_test_family(LAM), LAM, 40)
     norms = res.psi_norms().astype(float)

@@ -4,8 +4,9 @@ perfbench/tracing.py patches fatou functions by name for `run.py --trace 1`;
 a rename or deletion under src/ would break that run, so it fails here.
 Every name in an ``__all__`` of the package and its modules resolves too,
 importing the package starts no process machinery, one function of
-fatou.dynamics decides on the split over two processes, and psi has one
-arithmetic path.
+fatou.dynamics decides on the split over two processes, psi has one
+arithmetic path, one function of fatou.linearization forms delta's growth
+constants, and the README's flag table is the parser's.
 """
 
 import ast
@@ -143,3 +144,36 @@ def test_one_arithmetic_path_for_psi():
                for k in n.keywords if k.arg == "dtype" and isinstance(k.value, ast.Constant)
                and k.value.value in ("O", "object")]
     assert named == spelled == []
+
+
+def test_one_home_for_the_growth_constants():
+    # delta, its fit and eta's radius are formed in one function, which
+    # both solve_psi and majorant_split call
+    lin = importlib.import_module("fatou.linearization")
+    tree = ast.parse(Path(lin.__file__).read_text())
+    tops = [top for top in tree.body if isinstance(top, ast.FunctionDef)]
+
+    def named(top, name):
+        return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(top))
+
+    homes = {name: [top.name for top in tops if named(top, name)]
+             for name in ("_delta_sequence", "eta_radius")}
+    assert homes["_delta_sequence"] == homes["eta_radius"]
+    assert len(homes["eta_radius"]) == 1
+    (home,) = homes["eta_radius"]
+    assert [top.name for top in tops if named(top, home)] == ["solve_psi", "majorant_split"]
+
+
+def test_readme_flag_table_is_the_parsers():
+    cli = importlib.import_module("fatou.cli")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| `--")]
+    want = []
+    for dest, (section, key, _) in cli.FLAGS.items():
+        readers = [name for name, (_, _, flags) in cli.COMMANDS.items()
+                   if dest in ("config", "out") + flags]
+        want.append([f"`--{dest.replace('_', '-')}`",
+                     "—" if section is None else f"`[{section}] {key}`",
+                     "all" if len(readers) == len(cli.COMMANDS) else ", ".join(readers)])
+    assert rows == want
