@@ -31,6 +31,7 @@ from .algebra import jet_from_json
 from .diophantine import (
     GOLDEN,
     SILVER,
+    ContinuedFraction,
     QuadraticIrrational,
     _theta_value,
     check_sector_lemma,
@@ -380,7 +381,8 @@ def cmd_linearize(args) -> int:
     split = None
     if res.M > 0 and not isinstance(th, Fraction):
         n_exp = float(args.N or 1.0)
-        c = float(args.c) if args.c is not None else max_c_detail(th, n_exp, max(D, 64))[0]
+        c = (float(args.c) if args.c is not None
+             else _default_c(th, max_c_detail(th, n_exp, max(D, 64))))
         split = majorant_split(res.M, th, c, n_exp, D)
     doc = json.loads(result_to_json(res, split))
     write_json(args, doc)
@@ -411,12 +413,40 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _default_c(th, detail) -> float:
+    """The c of a max_c_detail(th, ...) result; it is 0 when theta is
+    rational in binary64, and then a ValueError names the k at which
+    e^(2 pi i k theta) = 1."""
+    c_open, _, argmin, _ = detail
+    if c_open == 0:
+        raise ValueError(f"|e^(2 pi i k theta) - 1| = 0 at k = {argmin}, so no c > 0 "
+                         f"certifies theta = {th!r}; give a rational theta in (0, 1) "
+                         "as p/q")
+    return c_open
+
+
+def _continued_fraction_mod1(th, depth: int) -> ContinuedFraction:
+    """The continued fraction of theta mod 1, which has theta's partial
+    quotients after a_0.  The reduction is exact: a float is taken as the
+    rational it is, a quadratic irrational (p + sqrt d) / q loses its floor
+    from p.  An integer theta has no quotient and is rational."""
+    if isinstance(th, QuadraticIrrational):
+        y = (th.p + math.isqrt(th.d)) // abs(th.q)  # floor((p + sqrt d) / |q|)
+        a = y if th.q > 0 else -y - 1                # floor(theta): sqrt d is irrational
+        x = QuadraticIrrational(th.p - a * th.q, th.d, th.q)
+    else:
+        x = Fraction(th) % 1
+        if x == 0:
+            return ContinuedFraction(0.0, [], [], True)
+    return continued_fraction(x, depth)
+
+
 def cmd_diophantine(args) -> int:
     if args.theta is None:
         raise ValueError("diophantine needs --theta")
     th = parse_theta(args.theta)
     if isinstance(th, Fraction):
-        cf = continued_fraction(th, 64)
+        cf = _continued_fraction_mod1(th, 64)
         write_json(args, {
             "theta": float(th),
             "rational": cf.rational,
@@ -425,14 +455,11 @@ def cmd_diophantine(args) -> int:
         return 0
     n_exp = float(args.N or 1.0)
     kmax = int(args.kmax or 10**5)
-    c_open, c_min, argmin, running = max_c_detail(th, n_exp, kmax)
-    if args.c is None and c_open == 0:
-        raise ValueError(f"|e^(2 pi i k theta) - 1| = 0 at k = {argmin}, so no c > 0 "
-                         f"certifies theta = {th!r}; give a rational theta in (0, 1) "
-                         "as p/q")
-    c = float(args.c) if args.c is not None else c_open
+    detail = max_c_detail(th, n_exp, kmax)
+    c_open, _, argmin, running = detail
+    c = float(args.c) if args.c is not None else _default_c(th, detail)
     cert = check_siegel(th, c, n_exp, kmax)
-    cf = continued_fraction(th, 40)
+    cf = _continued_fraction_mod1(th, 40)
     write_json(args, {
         "theta": _theta_value(th),
         "c": c,

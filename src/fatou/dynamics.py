@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import AutoMap, MapEscapeError, eval_pipeline
+from .maps import _IN_ENGINE, AutoMap, MapEscapeError, eval_pipeline
 
 __all__ = [
     "RegionUNM",
@@ -448,6 +448,11 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
     the bits of one process; a shorter run would not repay the fork.  So a
     hook-free step must be a pure function of its arguments: the side
     effects of the half a forked child steps are lost.
+
+    The loop, in each process of a split, holds np.errstate(all="ignore")
+    and sets maps._IN_ENGINE (reset on return or raise), so steps and hooks
+    run with overflow as data and AutoMap.eval_batch's closed form enters
+    no error state of its own; only this function sets that flag.
     """
     state = (np.array(z, dtype=complex), np.array(w, dtype=complex),
              *(np.asarray(a) for a in carry))
@@ -471,28 +476,32 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
         n = 0
         since_check = 0
         sup_delta = math.inf
-        with np.errstate(all="ignore"):
-            while n < n_max:
-                k = min(block, -(-(n_max - n) // stride))
-                for i in range(k):
-                    prev = state
-                    state = step(*state)
-                    if rows:
-                        for row, a in zip(rows, state):
-                            row[i] = a
-                n += k * stride
-                if rows and on_block(n, *(row[:k] for row in rows)):
-                    break
-                since_check += k
-                if tol is not None and (since_check == CHECK_EVERY or n >= n_max):
-                    since_check = 0
-                    deltas = np.maximum(np.abs(state[0] - prev[0]),
-                                        np.abs(state[1] - prev[1]))
-                    sup_delta = float(np.fmax.reduce(deltas, axis=None))
-                    if agree is not None:
-                        sup_delta = agree(sup_delta)
-                    if sup_delta < tol:
+        engine = _IN_ENGINE.set(True)       # eval_batch leaves the error state to us
+        try:
+            with np.errstate(all="ignore"):
+                while n < n_max:
+                    k = min(block, -(-(n_max - n) // stride))
+                    for i in range(k):
+                        prev = state
+                        state = step(*state)
+                        if rows:
+                            for row, a in zip(rows, state):
+                                row[i] = a
+                    n += k * stride
+                    if rows and on_block(n, *(row[:k] for row in rows)):
                         break
+                    since_check += k
+                    if tol is not None and (since_check == CHECK_EVERY or n >= n_max):
+                        since_check = 0
+                        deltas = np.maximum(np.abs(state[0] - prev[0]),
+                                            np.abs(state[1] - prev[1]))
+                        sup_delta = float(np.fmax.reduce(deltas, axis=None))
+                        if agree is not None:
+                            sup_delta = agree(sup_delta)
+                        if sup_delta < tol:
+                            break
+        finally:
+            _IN_ENGINE.reset(engine)
         return (*state, n, sup_delta)
 
     if (on_block is None and state[0].size >= SPLIT_MIN_SEEDS

@@ -16,7 +16,12 @@ carry its rotation number p/q exactly, the map's rotation order q.
 
 One generator evaluator, _apply_elem, gives values (on numpy arrays) and
 jets (on Series2 pairs); eval_pipeline(m.pipeline, z, w) is m without its
-closed form.  All evaluators accept numpy arrays and broadcast elementwise;
+closed form.  Overflow in an evaluation is data, never a warning: the orbit
+engine (dynamics._lockstep_iterate) holds np.errstate(all="ignore") for a
+whole run and sets the engine-internal flag _IN_ENGINE while it does, and
+AutoMap.eval_batch's closed form enters that error state itself only when
+the flag is not set.  eval_pipeline always holds its own.
+All evaluators accept numpy arrays and broadcast elementwise;
 AutoMap values are immutable and evaluation is pure, so a map can be
 shared across threads.  Threads do not speed a grid up: each ufunc call
 holds the GIL while it dispatches, and two threads stepping the halves of
@@ -28,6 +33,7 @@ a 2,304-seed rank-1 grid ran 0.84-1.01x as fast as one (median 0.87x, six
 from __future__ import annotations
 
 import cmath
+import contextvars
 import json
 import math
 from dataclasses import dataclass, field
@@ -70,6 +76,10 @@ __all__ = [
 ]
 
 AXIS_THRESHOLD = 1e-100  # |z| below this routes Bl-conjugated maps to the w-axis limit
+
+# True while dynamics._lockstep_iterate runs its loop, which holds
+# np.errstate(all="ignore") for the whole run; only that engine sets it
+_IN_ENGINE = contextvars.ContextVar("fatou_in_engine", default=False)
 
 
 class MapEscapeError(ArithmeticError):
@@ -255,9 +265,12 @@ def _jet_div_zl(Z: Series2, W: Series2, l: int) -> Series2:
 class FastPath:
     """The closed form of a Bl-conjugated pipeline (see _closed_form): order
     l, shear and overshear coefficients, closing Theta generator (or None)
-    and its theta (or 0).  The step kernel's shear_c, expo_c and rot_c are
-    0-d complex128 arrays: numpy broadcasts those faster than Python
-    scalars, with the same result."""
+    and its theta (or 0).  The step kernel's coefficients are made here
+    once, in the order its Horner loops take them: shear_top, shear_rest
+    for g(zu) / zu^2 and expo_top, expo_rest for the exponent's bracket,
+    the highest degree first.  They and rot_c are 0-d complex128 arrays:
+    numpy broadcasts those faster than Python scalars, with the same
+    result."""
 
     l: int
     shear: tuple
@@ -268,10 +281,14 @@ class FastPath:
         put = lambda name, value: object.__setattr__(self, name, value)
         c0 = lambda v: np.array(v, dtype=np.complex128)
         put("theta", self.rotation.theta if self.rotation else 0.0)
-        put("shear_c", tuple(c0(a) for a in self.shear))
+        shear_c = [c0(a) for a in reversed(self.shear)]
+        put("shear_top", shear_c[0])
+        put("shear_rest", tuple(shear_c[1:]))
         # (l+1) zu + f(zu) = zu (l+1 + c1 + c2 zu + ...): one Horner form
         over = self.overshear or (0j,)
-        put("expo_c", (c0(over[0] + (self.l + 1)),) + tuple(c0(c) for c in over[1:]))
+        expo_c = [c0(c) for c in reversed(over[1:])] + [c0(over[0] + (self.l + 1))]
+        put("expo_top", expo_c[0])
+        put("expo_rest", tuple(expo_c[1:]))
         put("rot_c", c0(cmath.exp(1j * self.theta)) if self.theta else None)
         # z^l (and zu^l, zu = z there) underflows to 0 only where |z|^l < 1e-300
         put("guard", max(AXIS_THRESHOLD, 1e-300 ** (1.0 / self.l)))
@@ -306,24 +323,33 @@ def _fast_forward(fp: FastPath, z, w):
     removable-singularity limit (0, e^{i theta} w); one reduction over |z|
     decides whether any seed needs that test.  Overflowed z stays on the
     escape path.
+
+    The kernel is arithmetic only: it holds no numpy error state, which
+    its caller sets (AutoMap.eval_batch, or the engine for a whole run),
+    and its Horner loops read the coefficients FastPath ordered once.
     """
-    with np.errstate(all="ignore"):
-        zl = z * z if fp.l == 2 else z**fp.l
-        zlw = zl * w
-        zem1 = z * np.expm1(z + zlw)   # z (e^s - 1)
-        zu = z * np.exp(z + zem1)
-        brac = zlw - zem1
-        zu2 = zu * zu
-        brac += _horner(fp.shear_c, zu) * zu2
-        zul = zu2 if fp.l == 2 else zu**fp.l
-        w1 = brac / zul * np.exp(zu * _horner(fp.expo_c, zu))
-        if fp.rot_c is not None:
-            w1 = w1 * fp.rot_c
-        az = np.abs(z)
-        if np.fmin.reduce(az, axis=None, initial=np.inf) < fp.guard:
-            axis = (az < AXIS_THRESHOLD) | ((zl == 0) & (az < np.inf))
-            zu = np.where(axis, 0.0 * z, zu)
-            w1 = np.where(axis, w if fp.rot_c is None else w * fp.rot_c, w1)
+    zl = z * z if fp.l == 2 else z**fp.l
+    zlw = zl * w
+    zem1 = z * np.expm1(z + zlw)   # z (e^s - 1)
+    zu = z * np.exp(z + zem1)
+    brac = zlw - zem1
+    zu2 = zu * zu
+    g = fp.shear_top
+    for c in fp.shear_rest:
+        g = g * zu + c
+    brac += g * zu2
+    zul = zu2 if fp.l == 2 else zu**fp.l
+    e = fp.expo_top
+    for c in fp.expo_rest:
+        e = e * zu + c
+    w1 = brac / zul * np.exp(zu * e)
+    if fp.rot_c is not None:
+        w1 = w1 * fp.rot_c
+    az = np.abs(z)
+    if np.fmin.reduce(az, axis=None, initial=np.inf) < fp.guard:
+        axis = (az < AXIS_THRESHOLD) | ((zl == 0) & (az < np.inf))
+        zu = np.where(axis, 0.0 * z, zu)
+        w1 = np.where(axis, w if fp.rot_c is None else w * fp.rot_c, w1)
     return zu, w1
 
 
@@ -356,11 +382,22 @@ class AutoMap:
     # -- evaluation ---------------------------------------------------
 
     def eval_batch(self, z, w):
-        """Vectorized forward evaluation; nonfinite output marks escape."""
+        """Vectorized forward evaluation; nonfinite output marks escape.
+
+        Inside the orbit engine (_IN_ENGINE set), whose loop holds
+        np.errstate(all="ignore") for the whole run, the closed-form kernel
+        is called directly; any other caller gets that error state for this
+        call only, so it sees no warning and keeps its own state.  The bits
+        are the same either way.  A map without a closed form goes through
+        eval_pipeline, which holds its own error state wherever it runs."""
         if self.fastpath is None:
             return eval_pipeline(self.pipeline, z, w)
-        return _fast_forward(self.fastpath, np.asarray(z, dtype=np.complex128),
-                             np.asarray(w, dtype=np.complex128))
+        z = np.asarray(z, dtype=np.complex128)
+        w = np.asarray(w, dtype=np.complex128)
+        if _IN_ENGINE.get():
+            return _fast_forward(self.fastpath, z, w)
+        with np.errstate(all="ignore"):
+            return _fast_forward(self.fastpath, z, w)
 
     def eval(self, z: complex, w: complex) -> tuple:
         """Forward evaluation at one point; raises MapEscapeError on overflow."""

@@ -277,6 +277,57 @@ def test_diophantine_rational_flag(tmp_path):
     assert d["rational"] is True and d["partial_quotients"] == [3]
 
 
+def test_linearize_float_rational_names_the_vanishing_k(tmp_path, capsys):
+    # the split's default c is max_c, 0 at theta = 1/4 in binary64: the
+    # error is diophantine's, naming k = 4 instead of the certificate's inputs
+    code, text = run(tmp_path, "linearize", "--theta", "0.25", "--order", "3")
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == (
+        "error: |e^(2 pi i k theta) - 1| = 0 at k = 4, so no c > 0 certifies theta = "
+        "0.25; give a rational theta in (0, 1) as p/q\n"
+        "run 'fatou linearize --help' for usage\n")
+
+
+@pytest.mark.parametrize("above, below, value", [
+    ("1.6180339887498949", repr(1.6180339887498949 - 1), 1.6180339887498949),
+    ("3.25", "0.25", 3.25),
+    ("quad:1,5,2", "golden", (1 + math.sqrt(5)) / 2),
+])
+def test_diophantine_theta_above_1_has_the_fields_of_theta_mod_1(tmp_path, above, below,
+                                                                value):
+    # the certificates take any theta; the continued-fraction fields are
+    # those of theta mod 1 (x - 1 is exact in binary64), theta is as given
+    code, text = run(tmp_path, "diophantine", "--theta", above, "--kmax", "1000",
+                     "--c", "0.5")
+    assert code == 0
+    got = json.loads(text)["data"]
+    code, text = run(tmp_path, "diophantine", "--theta", below, "--kmax", "1000",
+                     "--c", "0.5")
+    want = json.loads(text)["data"]
+    assert got["theta"] == value and want["theta"] == value % 1
+    for key in ("partial_quotients", "rational_flag", "convergent_denominators",
+                "max_c", "minimizing_k"):
+        assert got[key] == want[key]
+
+
+@pytest.mark.parametrize("theta, quotients", [("3/2", [2]), ("7/3", [3]), ("2/1", [])])
+def test_diophantine_fraction_above_1(tmp_path, theta, quotients):
+    code, text = run(tmp_path, "diophantine", "--theta", theta)
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d == {"theta": float(Fraction(theta)), "rational": True,
+                 "partial_quotients": quotients}
+
+
+def test_diophantine_negative_theta_has_the_fields_of_theta_mod_1(tmp_path):
+    # -golden mod 1 = 2 - golden ratio = [0; 2, 1, 1, ...]
+    code, text = run(tmp_path, "diophantine", "--theta", "quad:1,5,-2", "--kmax", "1000")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["partial_quotients"][:4] == [2, 1, 1, 1]
+    assert d["convergent_denominators"][:4] == [2, 3, 5, 8]
+
+
 def test_sector_sweep(tmp_path):
     code, text = run(tmp_path, "sector", "--theta", "golden", "--r",
                      "0.999,1.001", "--kmax", "300")
