@@ -31,12 +31,11 @@ from .algebra import jet_from_json
 from .diophantine import (
     GOLDEN,
     SILVER,
-    ContinuedFraction,
     QuadraticIrrational,
+    _continued_fraction_mod1,
     _theta_value,
     check_sector_lemma,
     check_siegel,
-    continued_fraction,
     max_c_detail,
 )
 from .dynamics import (
@@ -367,6 +366,8 @@ def cmd_linearize(args) -> int:
         raise ValueError("linearize needs --theta")
     th = parse_theta(args.theta)
     r = float(args.r or 1.0)
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"r must be finite and > 0, got {r!r}")
     lam = r * cmath.exp(2j * math.pi * _theta_value(th))
     D = int(args.order or 20)
     preset = args.map or "quadratic"
@@ -423,22 +424,6 @@ def _default_c(th, detail) -> float:
                          f"certifies theta = {th!r}; give a rational theta in (0, 1) "
                          "as p/q")
     return c_open
-
-
-def _continued_fraction_mod1(th, depth: int) -> ContinuedFraction:
-    """The continued fraction of theta mod 1, which has theta's partial
-    quotients after a_0.  The reduction is exact: a float is taken as the
-    rational it is, a quadratic irrational (p + sqrt d) / q loses its floor
-    from p.  An integer theta has no quotient and is rational."""
-    if isinstance(th, QuadraticIrrational):
-        y = (th.p + math.isqrt(th.d)) // abs(th.q)  # floor((p + sqrt d) / |q|)
-        a = y if th.q > 0 else -y - 1                # floor(theta): sqrt d is irrational
-        x = QuadraticIrrational(th.p - a * th.q, th.d, th.q)
-    else:
-        x = Fraction(th) % 1
-        if x == 0:
-            return ContinuedFraction(0.0, [], [], True)
-    return continued_fraction(x, depth)
 
 
 def cmd_diophantine(args) -> int:

@@ -17,12 +17,12 @@ denominators) ||k theta|| >= ||q_n theta|| -- the best approximations of the
 second kind, Khinchin, *Continued Fractions*, ch. II -- and both sin(pi x)
 on [0, 1/2] and k^N for N >= 0 are monotone, so the minimum of
 |e^{2 pi i k theta} - 1| k^N over k <= k_max, and each new running minimum,
-sits at k = 1 or at a convergent denominator.  max_c_detail and
-check_siegel evaluate only those k, and certify a quadratic irrational to
-k = 10^12 in milliseconds.  They fall back to every k when N < 0, or when
-the expansion does not bound the gap far above rounding: theta outside
-(0, 1), or a float theta whose expansion stops at the 10^12 quotient cap
-before two denominators beyond k_max.
+sits at k = 1 or at a convergent denominator of theta mod 1, on which
+||k theta|| alone depends.  max_c_detail and check_siegel evaluate only
+those k, and certify a quadratic irrational to k = 10^12 in milliseconds.
+They fall back to every k when N < 0, or when the expansion does not
+bound the gap far above rounding: a float theta whose expansion stops at
+the 10^12 quotient cap before two denominators beyond k_max.
 
 The loops that do visit every k -- those fallbacks, check_siegel's
 complete violation list and the sector check -- take ||k theta|| from one
@@ -211,11 +211,21 @@ def continued_fraction(theta, depth: int) -> ContinuedFraction:
     halts with the rational flag once a quotient exceeds 10^12, which for a
     binary64 input marks the precision horizon.
     """
-    val = _theta_value(theta)
-    if not 0.0 < val < 1.0:
+    if not 0.0 < _theta_value(theta) < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    cf = _continued_fraction_mod1(theta, depth)
+    if not cf.partial_quotients:
+        raise ValueError("theta is zero to working precision")
+    return cf
+
+
+def _continued_fraction_mod1(theta, depth: int) -> ContinuedFraction:
+    """continued_fraction's expansion of theta mod 1, for any theta: the
+    partial quotients of theta after a_0 = floor(theta), all exact.  An
+    integer theta has none and is rational, as is a theta mod 1 whose
+    first quotient is past the cap."""
     quotients = []
     rational = False
     if isinstance(theta, QuadraticIrrational):
@@ -223,14 +233,16 @@ def continued_fraction(theta, depth: int) -> ContinuedFraction:
         p, d, q = theta.p, theta.d, theta.q
         P, D, Q = p * abs(q), d * q * q, q * abs(q)
         s = isqrt(D)
-        for i in range(depth + 1):
-            a = (P + s) // Q
-            if i > 0:
-                quotients.append(a)  # a_0 = floor(theta) = 0 is dropped
+        for _ in range(depth + 1):
+            # floor((P + sqrt D) / Q) with s < sqrt D < s + 1, also for Q < 0
+            a = (P + s + (Q < 0)) // Q
+            quotients.append(a)
             P = a * Q - P
             Q = (D - P * P) // Q
+        val = QuadraticIrrational(p - quotients.pop(0) * q, d, q).value()  # a_0 dropped
     else:
-        x = theta if isinstance(theta, Fraction) else Fraction(float(theta))
+        x = (theta if isinstance(theta, Fraction) else Fraction(float(theta))) % 1
+        val = float(x)
         for _ in range(depth):
             if x == 0:
                 rational = True
@@ -241,8 +253,6 @@ def continued_fraction(theta, depth: int) -> ContinuedFraction:
                 break
             quotients.append(a)
             x = 1 / x - a
-        if not quotients and rational:
-            raise ValueError("theta is zero to working precision")
     # convergents for [0; a1, a2, ...]
     convergents = []
     h_prev, h = 1, 0
@@ -286,27 +296,24 @@ def _warn_float_horizon(theta, k_max: int) -> None:
 
 
 def _scan_denominators(theta, k_max: int):
-    """k = 1 and every convergent denominator q_n <= k_max, or None.
+    """k = 1 and every convergent denominator q_n <= k_max of theta mod 1
+    (||k theta|| depends on no more), or None.
 
     Best approximations of the second kind (Khinchin, *Continued
     Fractions*, ch. II): for q_n <= k < q_{n+1}, ||k theta|| >= ||q_n theta||,
     and where the two differ the gap is at least ||q_{n+1} theta||, about
     ||q_n theta|| / a_{n+2}.  None means this gap is not known to lie far
-    above rounding over [1, k_max]: theta is outside (0, 1), or its
-    expansion stopped at the 10^12 quotient cap (a binary64 theta at its
-    precision horizon) before two denominators beyond k_max.  An expansion
-    that terminates exactly (theta rational) covers every k: there the
-    values are multiples of 1/q, so a tie is exact and gives equal floats.
+    above rounding over [1, k_max]: the expansion stopped at the 10^12
+    quotient cap (a binary64 theta at its precision horizon) before two
+    denominators beyond k_max.  An expansion that terminates exactly (theta
+    rational) covers every k: there the values are multiples of 1/q, so a
+    tie is exact and gives equal floats; an integer theta scans k = 1 alone.
     """
     # q_n >= F_{n+1} >= phi^(n-1): this depth reaches two denominators past k_max
     depth = int(math.log(k_max) / math.log((1 + math.sqrt(5)) / 2)) + 4
-    try:
-        cf = continued_fraction(theta, depth)
-    except ValueError:
-        return None
+    cf = _continued_fraction_mod1(theta, depth)
     qs = [q for _, q in cf.convergents]
-    exact = cf.rational and Fraction(*cf.convergents[-1]) == (
-        theta if isinstance(theta, Fraction) else Fraction(float(theta)))
+    exact = cf.rational and frac_k_theta(theta, qs[-1] if qs else 1) == 0  # q_0 = 1
     if not exact and sum(q > k_max for q in qs) < 2:
         return None
     return sorted({1, *(q for q in qs if q <= k_max)})
@@ -354,8 +361,9 @@ def max_c_detail(theta, N: float, k_max: int):
     sin(pi x) is monotone on [0, 1/2] and k^N in k, so every new minimum
     sits at one of them, and the result equals that of the loop over every
     k.  A quadratic irrational certifies to k = 10^12 in milliseconds.
-    N < 0, or a theta the scan does not cover (see _scan_denominators),
-    falls back to the loop over every k, fed by _dist_blocks.
+    N < 0, or a float theta at its binary64 horizon (see
+    _scan_denominators), falls back to the loop over every k, fed by
+    _dist_blocks.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

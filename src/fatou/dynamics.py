@@ -342,8 +342,8 @@ def verify_forward_invariance(m: AutoMap, region: RegionUNM, samples: int,
     """Iterate a boundary-biased deterministic sample and record exits.
 
     The violations list is empty iff every sampled orbit stays in U for
-    n_steps.  Orbits that exit are frozen at the exit step; an escape is
-    an exit, not an error.
+    n_steps.  The engine steps an orbit on after it exits; the alive mask
+    records each seed's first exit.  An escape is an exit, not an error.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

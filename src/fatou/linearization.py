@@ -540,7 +540,8 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
     F_family maps lambda to a jet pair.  Each r must pass the off-circle sector
     style final conclusion (checked through the certificate machinery by the
     caller when wanted; here the recursion itself reports divisor failures
-    per r and the sweep continues).
+    per r and the sweep continues).  Each r must be finite and > 0: at
+    r < 0, lambda = r e^{2 pi i theta0} has rotation number theta0 + 1/2.
 
     The smoothness check takes one-sided differences at steps h, h/2, h/4
     around the middle r; a C^1 family with nonvanishing curvature shrinks
@@ -557,6 +558,9 @@ def parameter_sweep(F_family, theta0, r_values, D: int) -> SweepResult:
     r_values = [float(r) for r in r_values]
     if not all(a < b for a, b in zip(r_values, r_values[1:])):
         raise ValueError("r_values must be strictly increasing")
+    for r in r_values:
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"r must be finite and > 0, got {r!r}")
     results = {}
     failures = {}
 

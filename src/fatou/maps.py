@@ -317,8 +317,10 @@ def _fast_forward(fp: FastPath, z, w):
     absolute error of a few eps |z|^(2-l): none at l = 2, but at l >= 3 it
     grows as the orbit nears the w-axis (the generator pipeline, dividing
     by z^l, is worse still).  No complex product writes over an operand, so
-    a seed's image does not depend on the batch it is in (a one-element
-    product in place takes a loop without the fused multiply-add).
+    a seed's finite image does not depend on its batch (a one-element
+    product in place takes a loop without the fused multiply-add).  A NaN
+    part's sign bit can: at (0.9, 600), rank0_map(2) gives w1's NaNs the
+    sign bit among 6 seeds and not alone; either way the part is NaN.
     |z| < AXIS_THRESHOLD, or z^l underflow at finite z, takes the
     removable-singularity limit (0, e^{i theta} w); one reduction over |z|
     decides whether any seed needs that test.  Overflowed z stays on the

@@ -12,6 +12,7 @@ import pytest
 
 import cli_oracle
 import fatou
+from fatou import diophantine
 from fatou.cli import COMMANDS, FLAGS, main, parse_complex, parse_theta
 from fatou.diophantine import GOLDEN, SILVER, QuadraticIrrational
 from fatou.linearization import quadratic_test_family, solve_psi
@@ -230,6 +231,21 @@ def test_sweep_rejects_map_without_family(tmp_path, preset):
     assert code == 1 and text == ""
 
 
+@pytest.mark.parametrize("command, r, got", [
+    ("linearize", "-1", "-1.0"), ("linearize", "0", "0.0"), ("linearize", "nan", "nan"),
+    ("linearize", "inf", "inf"), ("sweep", "-1,1", "-1.0"), ("sweep", "0,1", "0.0"),
+    ("sweep", "1,inf", "inf"),
+])
+def test_linearize_and_sweep_reject_r_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                      command, r, got):
+    # at r < 0, lambda = r e^{2 pi i theta} has rotation number theta + 1/2,
+    # which the certificate of theta does not cover
+    code, text = run(tmp_path, command, "--theta", "golden", f"--r={r}", "--order", "10")
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == (f"error: r must be finite and > 0, got {got}\n"
+                                       f"run 'fatou {command} --help' for usage\n")
+
+
 def test_sweep_one_r_writes_null_smoothness(tmp_path):
     code, text = run(tmp_path, "sweep", "--theta", "golden", "--r", "1.0", "--order", "10")
     d = json.loads(text)["data"]
@@ -317,6 +333,42 @@ def test_diophantine_fraction_above_1(tmp_path, theta, quotients):
     d = json.loads(text)["data"]
     assert d == {"theta": float(Fraction(theta)), "rational": True,
                  "partial_quotients": quotients}
+
+
+def test_diophantine_quad_above_1_to_1e12_is_golden(tmp_path, monkeypatch):
+    # theta = golden + 1 scans the convergent denominators of golden: no
+    # loop over every k runs, and every field but theta is golden's
+    monkeypatch.setattr(diophantine, "_dist_blocks", None)
+    data = {}
+    for theta in ("quad:1,5,2", "golden"):
+        code, text = run(tmp_path, "diophantine", "--theta", theta, "--kmax", str(10**12))
+        assert code == 0
+        data[theta] = json.loads(text)["data"]
+    assert data["quad:1,5,2"].pop("theta") == data["golden"].pop("theta") + 1
+    assert data["quad:1,5,2"] == data["golden"]
+
+
+@pytest.mark.parametrize("theta", ["quad:-2,2,-1", "quad:2,2,-1"])
+def test_diophantine_quad_with_negative_q(tmp_path, theta):
+    # 2 - sqrt 2 and -2 - sqrt 2 are [0; 1, 1, 2, 2, ...] mod 1
+    code, text = run(tmp_path, "diophantine", "--theta", theta, "--kmax", "1000")
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["partial_quotients"][:5] == [1, 1, 2, 2, 2]
+    assert d["convergent_denominators"][:5] == [1, 2, 5, 12, 29]
+
+
+@pytest.mark.parametrize("theta", ["1e-13", "1.0000000000001", "-2.9999999999999"])
+def test_diophantine_theta_mod_1_below_the_quotient_cap(tmp_path, theta):
+    # theta mod 1 < 1e-12 has its first quotient past the cap: the
+    # certificate is written with no quotient, flagged rational, as for an
+    # integer theta
+    code, text = run(tmp_path, "diophantine", "--theta", theta)
+    assert code == 0
+    d = json.loads(text)["data"]
+    assert d["ok"] and d["minimizing_k"] == 1 and d["max_c"] > 0
+    assert (d["partial_quotients"], d["rational_flag"], d["convergent_denominators"]) == (
+        [], True, [])
 
 
 def test_diophantine_negative_theta_has_the_fields_of_theta_mod_1(tmp_path):

@@ -265,7 +265,8 @@ def test_scan_equals_per_k_oracle(name, memo_modulus):
 
 
 def test_scan_falls_back_where_theorem_does_not_cover(memo_modulus):
-    # N < 0 makes k^N decreasing; theta outside (0, 1) has no expansion here
+    # N < 0 makes k^N decreasing (theta outside (0, 1) scans theta mod 1 and
+    # must still give the oracle's values)
     for theta, N in ((GOLDEN, -0.5), (1.25, 1.0), (Fraction(7, 3), 0.5)):
         assert max_c_detail(theta, N, 500) == series_oracle.max_c_detail(theta, N, 500)
     # a float whose expansion stops at the 10^12 quotient cap
@@ -274,6 +275,70 @@ def test_scan_falls_back_where_theorem_does_not_cover(memo_modulus):
     assert dio._scan_denominators(capped, 10**4) is None
     want = series_oracle.max_c_detail(capped, 1.0, 10**4)
     assert max_c_detail(capped, 1.0, 10**4) == want
+
+
+# theta outside (0, 1) and theta mod 1, the latter exact
+MOD_1_THETAS = {
+    "(1+sqrt5)/2": (QuadraticIrrational(1, 5, 2), GOLDEN),
+    "(1+sqrt5)/-2": (QuadraticIrrational(1, 5, -2), QuadraticIrrational(-3, 5, -2)),
+    "(-3+sqrt5)/2": (QuadraticIrrational(-3, 5, 2), GOLDEN),
+    "1.618...": (1.6180339887498949, 1.6180339887498949 - 1),
+    "-0.381...": (-0.381966011250105, Fraction(-0.381966011250105) % 1),
+    "5/3": (Fraction(5, 3), Fraction(2, 3)),
+    "3.0": (3.0, 0.0),
+    "-2": (Fraction(-2), Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("name", MOD_1_THETAS)
+def test_theta_outside_0_1_scans_the_denominators_of_theta_mod_1(name, monkeypatch):
+    theta, mod_1 = MOD_1_THETAS[name]
+    assert dio._scan_denominators(theta, 10**5) == dio._scan_denominators(mod_1, 10**5)
+    if name in ("3.0", "-2"):  # ||k theta|| = 0 for every k
+        assert dio._scan_denominators(theta, 10**5) == [1]
+    # the scan alone, no loop over every k, gives the oracle's max_c_detail
+    real_blocks = dio._dist_blocks
+    monkeypatch.setattr(dio, "_dist_blocks", None)
+    detail = max_c_detail(theta, 1, 10**4)
+    assert detail == max_c_detail(mod_1, 1, 10**4)
+    monkeypatch.setattr(dio, "_dist_blocks", real_blocks)
+    assert detail == series_oracle.max_c_detail(theta, 1, 10**4)
+    for c in (detail[0], 2 * detail[0], 0.5):
+        if c > 0:
+            cert = check_siegel(theta, c, 1, 10**4)
+            assert (cert.ok, cert.violations) == series_oracle.check_siegel(theta, c, 1, 10**4)
+            assert cert.violations == check_siegel(mod_1, c, 1, 10**4).violations
+    rep = check_sector_lemma(theta, [0.999, 1.001], 10**4)
+    want = check_sector_lemma(mod_1, [0.999, 1.001], 10**4)
+    assert (rep.c_prime, rep.ok, rep.results) == (want.c_prime, want.ok, want.results)
+
+
+def test_quadratic_irrational_above_1_certifies_to_1e12_as_golden_does(monkeypatch):
+    theta = QuadraticIrrational(1, 5, 2)  # golden + 1
+    assert dio._scan_denominators(theta, 10**12) == dio._scan_denominators(GOLDEN, 10**12)
+    monkeypatch.setattr(dio, "_dist_blocks", None)  # no loop over every k
+    assert max_c_detail(theta, 1, 10**12) == max_c_detail(GOLDEN, 1, 10**12)
+
+
+@pytest.mark.parametrize("p, d, q", [(-2, 2, -1), (2, 2, -1), (1, 7, -3), (-4, 8, -2),
+                                     (5, 3, -7), (-1, 5, 2), (7, 13, 3)])
+def test_quadratic_quotients_equal_those_of_an_80_digit_rational(p, d, q):
+    # at q < 0 the floor of (P + sqrt D) / Q is not (P + isqrt D) // Q when
+    # that quotient is exact: (-2 + sqrt 2) / -1 = [0; 1, 1, 2, 2, ...]
+    scale = 10**80
+    x = Fraction(p * scale + math.isqrt(d * scale * scale), q * scale) % 1
+    want = []
+    for _ in range(30):
+        a = int(1 / x)
+        want.append(a)
+        x = 1 / x - a
+    theta = QuadraticIrrational(p, d, q)
+    cf = dio._continued_fraction_mod1(theta, 30)
+    assert cf.partial_quotients == want
+    assert all(q_n > 0 for _, q_n in cf.convergents)
+    if 0 < theta.value() < 1:
+        assert continued_fraction(theta, 30).partial_quotients == want
+    assert max_c_detail(theta, 1, 3000) == series_oracle.max_c_detail(theta, 1, 3000)
 
 
 def test_certificate_to_1e12_scans_convergents_only(monkeypatch):

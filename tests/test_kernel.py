@@ -16,9 +16,11 @@ eps = 2^-52:
 - against the generator pipeline in 80-digit mpmath, one step is within
   4 eps of z1 and 16 eps |z|^(2-l) of w1, relative.
 
-A seed's image does not depend on the batch it is in: that stays exact.
+A seed's image does not depend on the batch it is in: that stays exact,
+apart from the sign bit of a NaN part.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ import pytest
 
 from kernel_oracle import fast_forward as oracle_step
 from kernel_oracle import mp_step
+from test_engine_fp_state import EDGE_W, EDGE_Z
 
 from fatou.cli import main
 from fatou.dynamics import (
@@ -162,13 +165,28 @@ def test_step_against_mpmath_pipeline(case):
     assert np.all(np.abs(wa - wt) <= 16 * EPS * r ** (2 - l) * np.abs(wt))
 
 
+def _parts_bits(a):
+    # the float64 parts of a complex array, with every NaN's bits as one value
+    parts = a.view(float)
+    return np.where(np.isnan(parts), -1, parts.view(np.uint64).astype(np.int64)).tolist()
+
+
 def test_batch_size_does_not_change_a_seed():
     z, w = crit1_seeds()
+    # the edge pairs of test_engine_fp_state: zero, signed zero, tiny,
+    # infinite and NaN z, escaping w
+    ze, we = (np.array(col, dtype=complex) for col in zip(*itertools.product(EDGE_Z, EDGE_W)))
     for m in (rank0_map(2), rank0_map(3), rank1_map(), rotation_map(2 * math.pi / 5)):
         z1, w1 = m.eval_batch(z, w)
         for i in range(z.size):
             zi, wi = m.eval_batch(z[i:i + 1], w[i:i + 1])
             assert zi[0] == z1[i] and wi[0] == w1[i]
+        # bit for bit, apart from a NaN part's sign and payload
+        batch = m.eval_batch(ze, we)
+        for i in range(ze.size):
+            alone = m.eval_batch(ze[i:i + 1], we[i:i + 1])
+            for a, b in zip(alone, batch):
+                assert _parts_bits(a) == _parts_bits(b[i:i + 1]), (ze[i], we[i])
     m = rank0_map(2)
     z1, w1 = m.eval_batch(z, w)
     # odd-length slices

@@ -624,6 +624,13 @@ def test_sweep_smoothness_untested_is_none(family, r_values):
     assert list(sw.failures) == ([1.0] if len(r_values) == 3 else [])
 
 
+@pytest.mark.parametrize("r_values", [[-1.0, 1.0], [0.0, 1.0], [1.0, math.inf], [math.nan]])
+def test_sweep_rejects_r_that_is_not_finite_and_positive(r_values):
+    # at r < 0, lambda = r e^{2 pi i theta} has rotation number theta + 1/2
+    with pytest.raises(ValueError, match="r must be finite and > 0, got "):
+        parameter_sweep(quadratic_test_family, GOLDEN, r_values, 10)
+
+
 def test_sweep_coefficient_continuity():
     sw = parameter_sweep(quadratic_test_family, GOLDEN, [0.995, 1.0, 1.005], 20)
     lo, mid = sw.results[0.995], sw.results[1.0]

@@ -6,8 +6,8 @@ Every name in an ``__all__`` of the package and its modules resolves too,
 importing the package starts no process machinery, one function of
 fatou.dynamics decides on the split over two processes and holds the
 error state of a run, psi has one arithmetic path, one function of
-fatou.linearization forms delta's growth constants, and the README's flag
-table is the parser's.
+fatou.linearization forms delta's growth constants, fatou.diophantine alone
+expands theta mod 1, and the README's flag table is the parser's.
 """
 
 import ast
@@ -180,6 +180,29 @@ def test_one_home_for_the_growth_constants():
     assert len(homes["eta_radius"]) == 1
     (home,) = homes["eta_radius"]
     assert [top.name for top in tops if named(top, home)] == ["solve_psi", "majorant_split"]
+
+
+def test_one_home_for_theta_mod_1():
+    # only fatou.diophantine reduces theta mod 1 and expands it: cli reads
+    # its helper, as the certificates' denominator scan does
+    pkg = Path(importlib.import_module("fatou").__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(pkg.glob("*.py"))}
+
+    def mod_1(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+    def calls(tree, name):
+        return any(isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                         getattr(n.func, "attr", None))
+                   for n in ast.walk(tree))
+
+    assert [name for name, tree in trees.items()
+            if any(map(mod_1, ast.walk(tree)))] == ["diophantine.py"]
+    assert not calls(trees["cli.py"], "continued_fraction")
+    (scan,) = [top for top in trees["diophantine.py"].body
+               if isinstance(top, ast.FunctionDef) and top.name == "_scan_denominators"]
+    assert calls(scan, "_continued_fraction_mod1") and not calls(scan, "continued_fraction")
 
 
 def test_readme_flag_table_is_the_parsers():
