@@ -25,21 +25,24 @@ bound the gap far above rounding: a float theta whose expansion stops at
 the 10^12 quotient cap before two denominators beyond k_max.
 
 The loops that do visit every k -- those fallbacks, check_siegel's
-complete violation list and the sector check -- take ||k theta|| from one
-generator: theta is reduced once, to integers a / den, and
-m_k = (m_{k-1} + a) mod den gives each k the exact reduction that
-dist_k_theta makes, in float64 blocks of fixed size.
+complete violation list and the sector check -- take ||k theta|| from
+_dist_blocks: array code forms k theta mod 1 in double-double and rounds
+it once against a stated error bound, and the few k it cannot certify
+take the exact reduction, so every k gets dist_k_theta's bits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
+
+from .ddc import _two_prod, _two_sum
 
 __all__ = [
     "QuadraticIrrational",
@@ -60,7 +63,8 @@ __all__ = [
 
 _RATIONAL_QUOTIENT_LIMIT = 10**12
 _SQRT_SCALE = 10**40  # integer scale for sqrt(d); error ~ k * 1e-40
-_K_BLOCK = 4096  # k per block of the loops over every k; about 150 bytes of temporaries per k
+_K_BLOCK = 4096  # k per block of the loops over every k; ||k theta|| takes ~120 bytes a k
+_DD_TINY = 2.0**-968  # a part of theta mod 1 this large keeps k t's two-product exact
 _LOG_R_K_CAP = 709.0  # cap on k log r: e^709 squared overflows; math.expm1 raises past 709.78
 
 
@@ -124,8 +128,7 @@ def dist_k_theta(theta, k: int) -> float:
     even when k theta sits within 1e-15 of an integer.
     """
     num, den = _k_theta_num_den(theta, k)
-    m = num % den
-    return min(m, den - m) / den
+    return _exact_dists(num, den, (1,))[0]
 
 
 def small_divisor_modulus(theta, k: int) -> float:
@@ -138,31 +141,58 @@ def _modulus(dist: float) -> float:
 
 
 def _dist_blocks(theta, k_max: int):
-    """||k theta|| for k = 1..k_max, in blocks of at most _K_BLOCK k values.
-
-    Yields (ks, dist): ks a range of consecutive k, dist a float64 array
-    with dist[i] == dist_k_theta(theta, ks[i]) bit for bit.  theta is
-    reduced once, to the integers a / den of _k_theta_num_den at k = 1;
-    then m_k = k a mod den follows from m_k = (m_{k-1} + a) mod den, and
-    each block starts from one product k a mod den.  Memory stays O(block)
-    for any k_max.
-    """
-    a, den = _k_theta_num_den(theta, 1)
-    a %= den
-    wrap = den - a  # m + a reaches den exactly when m >= wrap
-    half = den // 2  # min(m, den - m) is m exactly when m <= half
-
-    def dists(m, n):
-        for _ in range(n):
-            if m >= wrap:
-                m -= wrap
-            else:
-                m += a
-            yield (m if m <= half else den - m) / den
-
+    """(ks, _block_dist(theta)(ks)) for k = 1..k_max, ks ranges of <= _K_BLOCK k."""
+    dist = _block_dist(theta)
     for k0 in range(1, k_max + 1, _K_BLOCK):
         ks = range(k0, min(k0 + _K_BLOCK, k_max + 1))
-        yield ks, np.fromiter(dists((k0 - 1) * a % den, len(ks)), float, len(ks))
+        yield ks, dist(ks)
+
+
+def _block_dist(theta):
+    """The map from a range ks of k >= 1 to [dist_k_theta(theta, k) for k
+    in ks] as float64, bit for bit.  theta mod 1 = a / den is split once
+    into parts t0 + t1 + t2 + rho, each the rounded rest (rho keeps a part
+    below _DD_TINY).  k t0 and k t1 are exact two-products (fatou.ddc);
+    rint and two-sums reduce them exactly but for four small terms and
+    k t2, and a fold past 1/2 gives ||k theta|| = d + dl, d = fl(d + dl),
+    within E = k_last (2 |rho| + 2^-52 |t2|) + 2^-101, twice the error
+    made.  d is correctly rounded where d + dl +- E both round to d; other
+    k take _exact_dists: exact ties of a non-dyadic theta, rational zeros,
+    theta mod 1 below _DD_TINY, k past 2^53.  A dyadic theta mod 1 (every
+    float) is t0 alone: E = 0, d is Python's int / int, ties included."""
+    a, den = _k_theta_num_den(theta, 1)
+    rest, parts = Fraction(a % den, den), []
+    while len(parts) < 3 and abs(float(rest)) >= _DD_TINY:
+        parts.append(float(rest))
+        rest -= Fraction(parts[-1])
+    t0, t1, t2 = parts + [0.0] * (3 - len(parts))
+    slope = 2.0 * float(abs(rest)) + 2.0**-52 * abs(t2)
+    floor = 0.0 if rest == 0 and t1 == 0 else 2.0**-101
+
+    def dist(ks: range) -> np.ndarray:
+        k = np.arange(ks.start, ks.stop, dtype=float)
+        p0, e0 = _two_prod(k, t0)
+        p1, e1 = _two_prod(k, t1)
+        s, e = _two_sum(p0 - np.rint(p0), e0)  # p0 - rint(p0) is exact
+        s, e2 = _two_sum(s, p1)
+        e = e + e2 + e1 + k * t2  # four terms of at most 2^-53 each
+        h, l = _two_sum(s - np.rint(s), e)  # the signed fraction x = h + l
+        d, dl = np.abs(h), np.where(h < 0, -l, l)  # |x| = d + dl
+        fold = (d > 0.5) | ((d == 0.5) & (dl > 0))  # |x| > 1/2: ||k theta|| = 1 - |x|
+        if fold.any():
+            d[fold], dl[fold] = _two_sum(1.0 - d[fold], -dl[fold])
+        E = math.inf if ks.stop > 2**53 + 1 else (ks.stop - 1) * slope + floor
+        if E:  # rounding is monotone: both ends of d + dl +- E round to d
+            idx = np.flatnonzero((d + (dl + E) != d) | (d + (dl - E) != d))
+            d[idx] = _exact_dists(a, den, (ks.start + idx).tolist())
+        return d
+
+    return dist
+
+
+def _exact_dists(a: int, den: int, ks) -> list:
+    """||k a / den|| for k in ks, on exact integers (dist_k_theta's home)."""
+    return [(m if m <= den - m else den - m) / den for m in (k * a % den for k in ks)]
 
 
 def _moduli(theta, k_max: int, ks=None):
@@ -174,9 +204,8 @@ def _moduli(theta, k_max: int, ks=None):
             for k, d in zip(block, dist.tolist()))
 
 
-def _powers(ks: range, e) -> np.ndarray:
-    """k ** e for k in ks, as Python computes it (libm pow, or an exact int
-    for an int e >= 0), then rounded to float64."""
+def _powers(ks, e) -> np.ndarray:
+    """k ** e for the ints k in ks, as Python gives it, rounded to float64."""
     return np.fromiter(map(e.__rpow__, ks), float, len(ks))
 
 
@@ -207,9 +236,9 @@ class ContinuedFraction:
 def continued_fraction(theta, depth: int) -> ContinuedFraction:
     """Gauss-map expansion of theta in (0, 1) with convergent recurrences.
 
-    Floats are expanded exactly (as the rationals they are); the expansion
-    halts with the rational flag once a quotient exceeds 10^12, which for a
-    binary64 input marks the precision horizon.
+    Floats are expanded exactly (as the rationals they are); a float's
+    expansion halts with the rational flag once a quotient exceeds 10^12,
+    which marks binary64's precision horizon.  A Fraction's is uncapped.
     """
     if not 0.0 < _theta_value(theta) < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -224,8 +253,8 @@ def continued_fraction(theta, depth: int) -> ContinuedFraction:
 def _continued_fraction_mod1(theta, depth: int) -> ContinuedFraction:
     """continued_fraction's expansion of theta mod 1, for any theta: the
     partial quotients of theta after a_0 = floor(theta), all exact.  An
-    integer theta has none and is rational, as is a theta mod 1 whose
-    first quotient is past the cap."""
+    integer theta has none and is rational, as is a float theta mod 1
+    whose first quotient is past the cap."""
     quotients = []
     rational = False
     if isinstance(theta, QuadraticIrrational):
@@ -248,7 +277,7 @@ def _continued_fraction_mod1(theta, depth: int) -> ContinuedFraction:
                 rational = True
                 break
             a = int(1 / x)  # x in (0,1): this is the next quotient
-            if a > _RATIONAL_QUOTIENT_LIMIT:
+            if a > _RATIONAL_QUOTIENT_LIMIT and not isinstance(theta, Fraction):
                 rational = True
                 break
             quotients.append(a)
@@ -287,11 +316,14 @@ def _warn_float_horizon(theta, k_max: int) -> None:
     if isinstance(theta, float) and k_max > 10**7:
         import warnings
 
+        level, frame = 2, sys._getframe(1)  # name the first caller outside this module
+        while frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             "binary64 theta: beyond k ~ 1e7 the reduction describes the "
             "stored rational, not the intended irrational; pass a "
             "QuadraticIrrational or Fraction for exact results",
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -303,11 +335,13 @@ def _scan_denominators(theta, k_max: int):
     Fractions*, ch. II): for q_n <= k < q_{n+1}, ||k theta|| >= ||q_n theta||,
     and where the two differ the gap is at least ||q_{n+1} theta||, about
     ||q_n theta|| / a_{n+2}.  None means this gap is not known to lie far
-    above rounding over [1, k_max]: the expansion stopped at the 10^12
-    quotient cap (a binary64 theta at its precision horizon) before two
-    denominators beyond k_max.  An expansion that terminates exactly (theta
-    rational) covers every k: there the values are multiples of 1/q, so a
-    tie is exact and gives equal floats; an integer theta scans k = 1 alone.
+    above rounding over [1, k_max]: a float's expansion stopped at the 10^12
+    quotient cap (binary64's horizon) before two denominators beyond k_max.
+    An exact theta is uncapped: where a quotient past 2^52 puts its gap
+    below rounding, one rounding of ||k theta|| and monotone math.sin and
+    ** still keep every float minimum on the scanned k.  A terminating
+    expansion (theta rational) covers every k: the values are multiples of
+    1/q, so ties are exact; an integer theta scans k = 1 alone.
     """
     # q_n >= F_{n+1} >= phi^(n-1): this depth reaches two denominators past k_max
     depth = int(math.log(k_max) / math.log((1 + math.sqrt(5)) / 2)) + 4
@@ -360,8 +394,8 @@ def max_c_detail(theta, N: float, k_max: int):
     For N >= 0 only k = 1 and the convergent denominators are evaluated:
     sin(pi x) is monotone on [0, 1/2] and k^N in k, so every new minimum
     sits at one of them, and the result equals that of the loop over every
-    k.  A quadratic irrational certifies to k = 10^12 in milliseconds.
-    N < 0, or a float theta at its binary64 horizon (see
+    k.  A quadratic irrational or a Fraction certifies to k = 10^12 in
+    milliseconds.  N < 0, or a float theta at its binary64 horizon (see
     _scan_denominators), falls back to the loop over every k, fed by
     _dist_blocks.
     """
@@ -429,14 +463,16 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
     c' = sqrt(2)/2 * max_c(theta0, N, k_max).
 
     ||k theta0|| comes once per k from _dist_blocks, and every r is tested
-    on each block with array masks.  r^k - 1 = expm1(k log r) and k^-N are
-    libm values, as math.expm1 and ** give them (np.expm1 and np.power
-    differ in the last bit on a few percent of inputs); the products and
-    sqrt are correctly rounded either way, and np.sin matches math.sin.  So
-    every violation tuple and drift entry equals that of the loop over k
-    and r bit for bit, which the oracle tests check.  Past the overflow
-    of r^k (from k = 8237 at r = 1.09) |lam^k - 1| is inf: that k is a
-    drift entry and breaks no bound.
+    on each block with array masks.  r^k - 1 = expm1(k log r) is libm's,
+    as math.expm1 gives it (np.expm1 differs in the last bit on a few
+    percent of inputs).  k^-N is np.power's, within a few ulps of libm's;
+    Python's k ** -N replaces it where v is not above it by a relative
+    2^-40 and where it is not below 2^1023 (** may raise OverflowError
+    there, as in the loop over k).  The products and sqrt are correctly
+    rounded, and np.sin matches math.sin.  So every violation tuple and
+    drift entry equals that of the loop over k and r bit for bit, which
+    the oracle tests check.  Past the overflow of r^k (from k = 8237 at
+    r = 1.09) |lam^k - 1| is inf: a drift entry that breaks no bound.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -462,7 +498,8 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
         sin_half = np.sin(np.pi * dist)                  # |e^{i phi} - 1| / 2
         unit_bound = half_sqrt2 * (2.0 * sin_half)
         with np.errstate(over="ignore"):  # inf, as in Python floats
-            final_bound = c_prime * _powers(ks, -N)
+            powers = np.power(k_floats, -N)
+            final_bound = c_prime * powers
         in_sector = dist > 0.125
         for r, res in report.results.items():
             # r^k - 1 = expm1(k log r), no cancellation; k log r is capped
@@ -477,5 +514,8 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
             res["sector_violations"] += _picked(k_ints, in_sector & ~(v > half_sqrt2), v)
             res["chained_violations"] += _picked(k_ints, in_sector & below_unit, v, unit_bound)
             res["complement_violations"] += _picked(k_ints, ~in_sector & below_unit, v, unit_bound)
+            near = ~((v > np.maximum(final_bound, 2.0**-1000) * (1.0 + 2.0**-40))
+                     & (powers < 2.0**1023))
+            final_bound[near] = c_prime * _powers(k_ints[near], -N)
             res["final_violations"] += _picked(k_ints, v < final_bound, v, final_bound)
     return report

@@ -2,7 +2,9 @@
 
 ``max_c_detail`` and ``check_siegel`` test every k in [1, k_max];
 ``fatou.diophantine`` evaluates only k = 1 and the convergent denominators
-and must return equal results.  ``majorant`` is the O(D^4) recursion that
+and must return equal results.  ``dist_recurrence`` is the exact
+recurrence that once gave the loops over every k their ||k theta||; the
+library's double-double blocks must return equal bits.  ``majorant`` is the O(D^4) recursion that
 expands sum_{nu>=2} (nu+1) s^nu power by power; ``fatou.linearization``
 runs one online O(D^2) recursion, whose summation order differs, and must
 agree within 1e-13 relative.  ``solve_recursion`` is the psi recursion
@@ -52,7 +54,7 @@ from fatou.algebra import (
     tri_index,
     tri_size,
 )
-from fatou.diophantine import dist_k_theta, max_c, small_divisor_modulus
+from fatou.diophantine import _k_theta_num_den, dist_k_theta, max_c, small_divisor_modulus
 from fatou.maps import MapKind
 
 
@@ -65,6 +67,20 @@ def check_siegel(theta, c, N, k_max):
         if not v > bound:
             violations.append((k, v, bound))
     return not violations, violations
+
+
+def dist_recurrence(theta, k_max):
+    """[||k theta|| for k = 1..k_max] by the exact recurrence: theta is
+    reduced once to integers a / den, and m_k = (m_{k-1} + a) mod den."""
+    a, den = _k_theta_num_den(theta, 1)
+    a %= den
+    m, out = 0, []
+    for _ in range(k_max):
+        m += a
+        if m >= den:
+            m -= den
+        out.append(min(m, den - m) / den)
+    return out
 
 
 def max_c_detail(theta, N, k_max):

@@ -326,7 +326,9 @@ def test_diophantine_theta_above_1_has_the_fields_of_theta_mod_1(tmp_path, above
         assert got[key] == want[key]
 
 
-@pytest.mark.parametrize("theta, quotients", [("3/2", [2]), ("7/3", [3]), ("2/1", [])])
+@pytest.mark.parametrize("theta, quotients", [("3/2", [2]), ("7/3", [3]), ("2/1", []),
+                                             # exact: the 10^12 cap is binary64's
+                                             ("1/10000000000007", [10000000000007])])
 def test_diophantine_fraction_above_1(tmp_path, theta, quotients):
     code, text = run(tmp_path, "diophantine", "--theta", theta)
     assert code == 0

@@ -370,27 +370,74 @@ def test_certificate_to_1e12_scans_convergents_only(monkeypatch):
 BLOCK_THETAS = {
     **ORACLE_THETAS,
     "(1+sqrt7)/-3": QuadraticIrrational(1, 7, -3),
+    "binary64": 0.7548776662466927,
     "3/7": Fraction(3, 7),
     "-2/9": Fraction(-2, 9),
     "zero": 0.0,
     "tiny": 1e-300,
     "5/4": 1.25,
+    "0.1": 0.1,
 }
+# compared to k = 2 10^5, the others to k = 10^4
+LONG_BLOCK_THETAS = ("golden", "silver", "(1+sqrt7)/-3", "inv_pi", "binary64", "355/1131")
+
+
+def hexes(xs):
+    return [x.hex() for x in xs]
 
 
 @pytest.mark.parametrize("name", BLOCK_THETAS)
 def test_dist_blocks_equal_dist_k_theta(name, monkeypatch):
     theta = BLOCK_THETAS[name]
-    want = [dist_k_theta(theta, k) for k in range(1, 10**4 + 1)]
-    # one block, then blocks of 97 that restart from k a mod den each time
+    k_max = 2 * 10**5 if name in LONG_BLOCK_THETAS else 10**4
+    want = hexes(series_oracle.dist_recurrence(theta, k_max))
+    assert want[:10**4] == hexes(dist_k_theta(theta, k) for k in range(1, 10**4 + 1))
+    # one block, then blocks of 97
     for block in (dio._K_BLOCK, 97):
         monkeypatch.setattr(dio, "_K_BLOCK", block)
-        ks, dist = zip(*dio._dist_blocks(theta, 10**4))
-        assert [k for r in ks for k in r] == list(range(1, 10**4 + 1))
+        ks, dist = zip(*dio._dist_blocks(theta, k_max))
+        assert [k for r in ks for k in r] == list(range(1, k_max + 1))
         assert all(len(r) <= block for r in ks)
         got = np.concatenate(dist)
         assert got.dtype == np.float64
-        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], block
+        assert hexes(got.tolist()) == want, block
+
+
+FALLBACKS = {
+    "3/7": lambda k: k % 7 == 0,    # rational zeros
+    "-2/9": lambda k: k % 9 == 0,
+    "tiny": lambda k: True,          # theta mod 1 below _DD_TINY
+    "0.1": lambda k: False,          # dyadic: ties and zeros round exactly
+    "zero": lambda k: False,
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_dist_blocks_fall_back_where_the_rounding_is_not_certified(name, monkeypatch):
+    theta = BLOCK_THETAS[name]
+    taken = []
+    plain = dio._exact_dists
+
+    def counting(a, den, ks):
+        taken.extend(ks)
+        return plain(a, den, ks)
+
+    monkeypatch.setattr(dio, "_exact_dists", counting)
+    got = np.concatenate([dist for _, dist in dio._dist_blocks(theta, 2 * 10**4)])
+    assert hexes(got.tolist()) == hexes(series_oracle.dist_recurrence(theta, 2 * 10**4))
+    assert taken == [k for k in range(1, 2 * 10**4 + 1) if FALLBACKS[name](k)]
+    if name == "0.1":  # 1/2 - 2^-55 at k = 5 is a tie, rounded to even
+        assert got[4] == 0.5 and 5 * Fraction(0.1) - Fraction(1, 2) == Fraction(1, 2**55)
+
+
+@pytest.mark.parametrize("k0", [10**9, 2**52 - 4096, 2**53 - 50])
+@pytest.mark.parametrize("name", ["golden", "silver", "inv_pi", "binary64", "3/7", "0.1"])
+def test_dist_block_far_out_equals_dist_k_theta(name, k0):
+    # past 2^53 a k is no float, and every k takes the exact reduction
+    theta = BLOCK_THETAS[name]
+    ks = range(k0, k0 + (100 if k0 > 2**52 else dio._K_BLOCK))
+    got = dio._block_dist(theta)(ks)
+    assert hexes(got.tolist()) == hexes(dist_k_theta(theta, k) for k in ks)
 
 
 SECTOR_THETAS = {
@@ -450,13 +497,41 @@ def test_sector_report_equals_per_k_oracle(name):
     theta = SECTOR_THETAS[name]
     r_all = [0.91, 0.999, 1.0, 1.001, 1.09]
     tuples = 0
-    for N in (0.5, 1, 2):
+    for N in (-0.5, 0.5, 1, 2):
         for k_max in (1, 2, 10**4):
             results = assert_same_report(theta, r_all[:-1], k_max, N)
             tuples += sum(len(v) for res in results.values() for v in res.values())
             assert_overflow_is_drift(theta, r_all, k_max, N, results)
         assert_same_report(theta, [1.09, 0.91], 8000, N)
     assert tuples > 3 * 20000  # drift and chained violations at the far r
+
+
+def test_sector_power_overflow_raises_as_python_does():
+    # k^78.5 overflows from k = 8450 (r^k from 8237): Python's ** raises
+    # there, though v is already inf
+    with pytest.raises(OverflowError, match=r"\(34, 'Numerical result out of range'\)"):
+        check_sector_lemma(GOLDEN, [R_OVERFLOW], 9000, N=-78.5)
+    with pytest.raises(OverflowError):
+        8450 ** 78.5
+    assert_overflow_is_drift(GOLDEN, [R_OVERFLOW], 8449, -78.5, {})
+
+
+@pytest.mark.parametrize("name", ["golden", "3/7", "binary64"])
+def test_sector_report_with_many_final_violations(name, monkeypatch):
+    # a constant far above max_c breaks the final bound at thousands of k,
+    # whose tuples carry Python's k ** -N
+    theta = SECTOR_THETAS[name]
+
+    def large(theta, N, k_max):
+        return 40.0
+
+    monkeypatch.setattr(dio, "max_c", large)
+    monkeypatch.setattr(series_oracle, "max_c", large)
+    broken = {}
+    for N in (-0.5, 0, 0.5, 1):
+        results = assert_same_report(theta, [0.91, 0.999, 1.0005], 10**4, N)
+        broken[N] = sum(len(res["final_violations"]) for res in results.values())
+    assert broken[-0.5] == 30000 and broken[0.5] > 1000 and broken[1] > 50
 
 
 def test_sector_report_across_a_block_boundary():
@@ -484,6 +559,27 @@ def test_sector_reduces_theta_once_per_call(monkeypatch):
     # the other reductions are max_c's scan of k = 1 and the Fibonacci
     # denominators up to 987, 15 k in all; a loop over k or r makes thousands
     assert len(reductions) == 15
+
+
+def test_sector_takes_python_powers_only_near_the_bound(monkeypatch):
+    # k^-N comes from numpy; Python's k ** -N only where v is within 2^-40
+    # of the bound, and max_c's golden bound is nowhere near v
+    powers, reductions = [], []
+    plain_powers, plain_dist = dio._powers, dio.dist_k_theta
+
+    def counting_powers(ks, e):
+        powers.extend(ks)
+        return plain_powers(ks, e)
+
+    def counting_dist(theta, k):
+        reductions.append(k)
+        return plain_dist(theta, k)
+
+    monkeypatch.setattr(dio, "_powers", counting_powers)
+    monkeypatch.setattr(dio, "dist_k_theta", counting_dist)
+    rep = check_sector_lemma(GOLDEN, [0.999, 1.0, 1.001], 1000)
+    assert powers == [] and len(reductions) == 15
+    assert rep.ok
 
 
 def test_isqrt_once_per_quadratic_irrational(monkeypatch):
@@ -514,6 +610,58 @@ def test_fallback_loops_across_blocks_equal_the_oracle(monkeypatch):
         cert = check_siegel(GOLDEN, c, N, 3000)
         assert (cert.ok, cert.violations) == series_oracle.check_siegel(GOLDEN, c, N, 3000)
     assert len(cert.violations) > 100
+
+
+def test_fraction_past_the_quotient_cap_scans_its_denominators(monkeypatch):
+    # the 10^12 cap marks binary64's horizon: a Fraction expands exactly
+    theta = Fraction(1, 10**13 + 7)
+    cf = dio._continued_fraction_mod1(theta, 10)
+    assert (cf.partial_quotients, cf.rational) == ([10**13 + 7], True)
+    assert continued_fraction(theta, 10).partial_quotients == [10**13 + 7]
+    assert dio._scan_denominators(theta, 10**6) == [1]
+    want = series_oracle.max_c_detail(theta, 1, 10**4)
+    calls = []
+    plain = dio.small_divisor_modulus
+
+    def counting(theta, k):
+        calls.append(k)
+        return plain(theta, k)
+
+    monkeypatch.setattr(dio, "small_divisor_modulus", counting)
+    monkeypatch.setattr(dio, "_dist_blocks", None)  # no loop over every k
+    assert max_c_detail(theta, 1, 10**4) == want
+    assert len(calls) <= 10
+    assert max_c_detail(theta, 1, 10**7)[2] == 1
+
+
+def test_fraction_with_a_quotient_past_2_52_inside_its_expansion():
+    # [0; 3, 10^17, 1, 1, ...]: ||theta|| and ||2 theta|| differ by a relative
+    # 1e-17, below rounding, yet the scan must equal the loop over every k
+    theta = Fraction(0)
+    for a in reversed([3, 10**17] + [1] * 40):
+        theta = 1 / (a + theta)
+    assert dio._continued_fraction_mod1(theta, 4).partial_quotients == [3, 10**17, 1, 1]
+    assert dist_k_theta(theta, 1) == dist_k_theta(theta, 2)
+    assert dio._scan_denominators(theta, 10**4) == [1, 3]
+    for N in (0, 1):
+        want = series_oracle.max_c_detail(theta, N, 10**4)
+        assert max_c_detail(theta, N, 10**4) == want, N
+        for c in (want[0], want[1], 2.0):
+            cert = check_siegel(theta, c, N, 10**4)
+            ok, violations = series_oracle.check_siegel(theta, c, N, 10**4)
+            assert (cert.ok, cert.violations) == (ok, violations), (N, c)
+
+
+@pytest.mark.parametrize("call", [
+    lambda th, k_max: max_c(th, 1.0, k_max),
+    lambda th, k_max: max_c_detail(th, 1.0, k_max),
+    lambda th, k_max: check_siegel(th, 1e-9, 1.0, k_max),
+    lambda th, k_max: check_sector_lemma(th, [], k_max),
+], ids=["max_c", "max_c_detail", "check_siegel", "check_sector_lemma"])
+def test_binary64_horizon_warning_names_the_caller(call):
+    with pytest.warns(UserWarning, match="binary64 theta") as record:
+        call(0.3183098861837907, 2 * 10**7)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_sector_with_no_r_skips_the_loop_over_k():
