@@ -15,6 +15,8 @@ Modules:
 * :mod:`fatou.cli` -- reproducible command-line experiments (CSV/JSON).
 """
 
+import logging
+
 from .algebra import Series1C2, Series2, series1_compose_map, series1_eval, \
     series2_exp, series2_mul
 from .diophantine import GOLDEN, SILVER, QuadraticIrrational, check_sector_lemma, \
@@ -27,6 +29,7 @@ from .maps import AutoMap, classify_fixed_point, four_map_composite, rank0_map, 
     rank1_map, rotation_map, solve_overshear_coefficients, solve_shear_coefficients
 
 __version__ = "0.1.0"
+logging.getLogger("fatou").addHandler(logging.NullHandler())   # silent unless configured
 
 __all__ = [
     "Series2",

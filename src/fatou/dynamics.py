@@ -31,6 +31,7 @@ bits of one process; its step must then be pure.  See _in_halves.
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 import os
 import pickle
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import _IN_ENGINE, AutoMap, MapEscapeError, eval_pipeline
+from .maps import _IN_ENGINE, AutoMap, MapEscapeError, _fast_arith, _fast_forward, eval_pipeline
 
 __all__ = [
     "RegionUNM",
@@ -76,8 +77,10 @@ ESCAPE_RADIUS = 1e100
 # steps between the engine's convergence checks, and the longest block
 CHECK_EVERY = 64
 
-# cap on the rows (z and w of each step in a block) that engine hooks read
+# caps on the rows (z and w of each step in a block) that engine hooks read,
+# and on the z rows a hook-free run holds for its once-a-block w-axis test
 BLOCK_BYTES = 8 * 2**20
+AXIS_ROW_BYTES = 2**17
 
 # the fewest seeds at which a hook-free run splits over two processes
 SPLIT_MIN_SEEDS = 1000
@@ -443,6 +446,13 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
     tol None runs all n_max steps.  Escaped seeds ride along as non-finite
     data.  Returns (z, w, *carry, n_used, sup_delta).
 
+    Where step shows the map's FastPath (step.__self__'s, a bound
+    AutoMap.eval_batch, or its own) at stride 1, its steps run the
+    arithmetic alone, and maps._fast_forward's w-axis test runs once a block
+    on the z rows (a hook's, or a buffer capped by AXIS_ROW_BYTES); a block
+    with a row below FastPath.guard runs again with the per-step test, kept
+    from then on (one DEBUG record), as are runs whose seeds start below it.
+
     The engine splits a run with no hook, at least SPLIT_MIN_SEEDS seeds
     and at least CHECK_EVERY strides over two processes (_in_halves), with
     the bits of one process; a shorter run would not repay the fork.  So a
@@ -450,12 +460,13 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
     effects of the half a forked child steps are lost.
 
     The loop, in each process of a split, holds np.errstate(all="ignore")
-    and sets maps._IN_ENGINE (reset on return or raise), so steps and hooks
-    run with overflow as data and AutoMap.eval_batch's closed form enters
-    no error state of its own; only this function sets that flag.
+    and sets maps._IN_ENGINE to the kernel AutoMap.eval_batch calls (reset
+    on return or raise), so steps and hooks run with overflow as data and
+    eval_batch enters no error state of its own; only this function sets it.
     """
     state = (np.array(z, dtype=complex), np.array(w, dtype=complex),
              *(np.asarray(a) for a in carry))
+    fp = getattr(getattr(step, "__self__", step), "fastpath", None) if stride == 1 else None
     if stride > 1:
         map_step = step
 
@@ -464,31 +475,50 @@ def _lockstep_iterate(step, z, w, tol: float | None, n_max: int, *,
                 state = map_step(*state)
             return state
 
+    def below_guard(n, zs):
+        # the w-axis test of maps._fast_forward over rows zs, row i at step n + i
+        if np.fmin.reduce(np.abs(zs), axis=None, initial=np.inf) >= fp.guard:
+            return False
+        low = (np.abs(zs) < fp.guard).reshape(len(zs), -1)
+        first = int(low.any(axis=1).argmax())
+        logging.getLogger(__name__).debug(
+            "w-axis test per step from step %d: %d seeds below the guard %g",
+            n + first, int(low[first].sum()), fp.guard)
+        return True
+
     def loop(state, agree):
         # agree(sup_delta), in a split run, is the sup over both halves
+        guard = fp is not None and not below_guard(0, state[0][None])
+        held = state if on_block is not None else state[:1] if guard else ()   # into rows
         block = CHECK_EVERY
-        rows = ()                           # the row buffers, when a hook reads rows
-        if on_block is not None:
-            nbytes = sum(a.nbytes for a in state)
-            while block > 1 and (CHECK_EVERY % block or block * nbytes > BLOCK_BYTES):
-                block -= 1
-            rows = [np.empty((block,) + a.shape, dtype=a.dtype) for a in state]
+        cap = BLOCK_BYTES if on_block is not None else AXIS_ROW_BYTES
+        nbytes = sum(a.nbytes for a in held)
+        while held and block > 1 and (CHECK_EVERY % block or block * nbytes > cap):
+            block -= 1
+        rows = [np.empty((block,) + a.shape, dtype=a.dtype) for a in held]
         n = 0
         since_check = 0
         sup_delta = math.inf
-        engine = _IN_ENGINE.set(True)       # eval_batch leaves the error state to us
+        engine = _IN_ENGINE.set(_fast_arith if guard else _fast_forward)
         try:
             with np.errstate(all="ignore"):
                 while n < n_max:
                     k = min(block, -(-(n_max - n) // stride))
+                    start = state
                     for i in range(k):
                         prev = state
                         state = step(*state)
-                        if rows:
+                        if on_block is not None:
                             for row, a in zip(rows, state):
                                 row[i] = a
+                        elif rows:
+                            rows[0][i] = state[0]
+                    if guard and below_guard(n + 1, rows[0][:k]):
+                        state, guard = start, False     # the block again, tested per step
+                        _IN_ENGINE.set(_fast_forward)
+                        continue
                     n += k * stride
-                    if rows and on_block(n, *(row[:k] for row in rows)):
+                    if on_block is not None and on_block(n, *(row[:k] for row in rows)):
                         break
                     since_check += k
                     if tol is not None and (since_check == CHECK_EVERY or n >= n_max):
@@ -833,6 +863,7 @@ def _product_sum_run(m, zhat, w, n_max, tol, on_block=None):
         d = np.abs(w_next - (w0 * P + S)) / np.maximum(1.0, np.abs(w_next))  # rounding drift
         return zo[k:], w_next, w0, P, S, np.fmax(D, d)
 
+    step.fastpath = m.fastpath    # for the engine's w-axis test, on the z both kernel rows take
     z, w, _, P, S, D, n_used, _ = _lockstep_iterate(
         step, from_transformed(zhat), w0, tol, n_max, on_block=on_block,
         carry=(w0, np.ones_like(w0), np.zeros_like(w0), np.zeros(w0.shape)))

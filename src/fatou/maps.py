@@ -18,9 +18,9 @@ One generator evaluator, _apply_elem, gives values (on numpy arrays) and
 jets (on Series2 pairs); eval_pipeline(m.pipeline, z, w) is m without its
 closed form.  Overflow in an evaluation is data, never a warning: the orbit
 engine (dynamics._lockstep_iterate) holds np.errstate(all="ignore") for a
-whole run and sets the engine-internal flag _IN_ENGINE while it does, and
-AutoMap.eval_batch's closed form enters that error state itself only when
-the flag is not set.  eval_pipeline always holds its own.
+whole run and sets the engine-internal flag _IN_ENGINE to the kernel that
+AutoMap.eval_batch's closed form then calls (_fast_forward, or _fast_arith
+where the engine tests the w-axis itself); eval_pipeline holds its own.
 All evaluators accept numpy arrays and broadcast elementwise;
 AutoMap values are immutable and evaluation is pure, so a map can be
 shared across threads.  Threads do not speed a grid up: each ufunc call
@@ -77,9 +77,9 @@ __all__ = [
 
 AXIS_THRESHOLD = 1e-100  # |z| below this routes Bl-conjugated maps to the w-axis limit
 
-# True while dynamics._lockstep_iterate runs its loop, which holds
-# np.errstate(all="ignore") for the whole run; only that engine sets it
-_IN_ENGINE = contextvars.ContextVar("fatou_in_engine", default=False)
+# the kernel AutoMap.eval_batch calls while dynamics._lockstep_iterate runs its
+# loop, which holds np.errstate(all="ignore"), else None; only that engine sets it
+_IN_ENGINE = contextvars.ContextVar("fatou_in_engine", default=None)
 
 
 class MapEscapeError(ArithmeticError):
@@ -321,15 +321,26 @@ def _fast_forward(fp: FastPath, z, w):
     product in place takes a loop without the fused multiply-add).  A NaN
     part's sign bit can: at (0.9, 600), rank0_map(2) gives w1's NaNs the
     sign bit among 6 seeds and not alone; either way the part is NaN.
-    |z| < AXIS_THRESHOLD, or z^l underflow at finite z, takes the
-    removable-singularity limit (0, e^{i theta} w); one reduction over |z|
-    decides whether any seed needs that test.  Overflowed z stays on the
-    escape path.
-
-    The kernel is arithmetic only: it holds no numpy error state, which
-    its caller sets (AutoMap.eval_batch, or the engine for a whole run),
-    and its Horner loops read the coefficients FastPath ordered once.
+    The step is _fast_arith and the w-axis test: |z| < AXIS_THRESHOLD, or
+    z^l underflow at finite z, takes the removable-singularity limit (0,
+    e^{i theta} w), and one reduction over |z| decides whether any seed
+    needs it; where every |z| >= fp.guard or is NaN the arithmetic's values
+    stand, so the engine, testing that once a block, calls _fast_arith alone.
+    Overflowed z stays on the escape path.  Neither part holds a numpy
+    error state: the caller sets it (AutoMap.eval_batch, or the engine).
     """
+    zu, w1 = _fast_arith(fp, z, w)
+    az = np.abs(z)
+    if np.fmin.reduce(az, axis=None, initial=np.inf) < fp.guard:
+        zl = z * z if fp.l == 2 else z**fp.l
+        axis = (az < AXIS_THRESHOLD) | ((zl == 0) & (az < np.inf))
+        zu = np.where(axis, 0.0 * z, zu)
+        w1 = np.where(axis, w if fp.rot_c is None else w * fp.rot_c, w1)
+    return zu, w1
+
+
+def _fast_arith(fp: FastPath, z, w):
+    """_fast_forward without its w-axis test: ufuncs only, no reduction."""
     zl = z * z if fp.l == 2 else z**fp.l
     zlw = zl * w
     zem1 = z * np.expm1(z + zlw)   # z (e^s - 1)
@@ -347,11 +358,6 @@ def _fast_forward(fp: FastPath, z, w):
     w1 = brac / zul * np.exp(zu * e)
     if fp.rot_c is not None:
         w1 = w1 * fp.rot_c
-    az = np.abs(z)
-    if np.fmin.reduce(az, axis=None, initial=np.inf) < fp.guard:
-        axis = (az < AXIS_THRESHOLD) | ((zl == 0) & (az < np.inf))
-        zu = np.where(axis, 0.0 * z, zu)
-        w1 = np.where(axis, w if fp.rot_c is None else w * fp.rot_c, w1)
     return zu, w1
 
 
@@ -386,18 +392,18 @@ class AutoMap:
     def eval_batch(self, z, w):
         """Vectorized forward evaluation; nonfinite output marks escape.
 
-        Inside the orbit engine (_IN_ENGINE set), whose loop holds
-        np.errstate(all="ignore") for the whole run, the closed-form kernel
-        is called directly; any other caller gets that error state for this
-        call only, so it sees no warning and keeps its own state.  The bits
-        are the same either way.  A map without a closed form goes through
-        eval_pipeline, which holds its own error state wherever it runs."""
+        Inside the orbit engine, whose loop holds np.errstate(all="ignore")
+        and whose states are complex128 arrays, the closed form goes to the
+        kernel in _IN_ENGINE; any other caller gets complex128 inputs and
+        _fast_forward in that error state for this call only, and keeps its
+        own.  The bits are the same either way.  A map without a closed form
+        goes through eval_pipeline, which holds its own error state."""
         if self.fastpath is None:
             return eval_pipeline(self.pipeline, z, w)
+        if (kernel := _IN_ENGINE.get()) is not None:
+            return kernel(self.fastpath, z, w)
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
-        if _IN_ENGINE.get():
-            return _fast_forward(self.fastpath, z, w)
         with np.errstate(all="ignore"):
             return _fast_forward(self.fastpath, z, w)
 

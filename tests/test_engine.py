@@ -7,6 +7,7 @@ is compared with the same run in one.
 """
 
 import errno
+import logging
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 
 import engine_oracle as oracle
 from fatou import dynamics as dyn
+from fatou import maps
 from fatou.dynamics import Grid2D, RegionUNM, SplitRunError
 from fatou.maps import MapEscapeError, rank0_map, rank1_map, rotation_map
 
@@ -628,3 +630,234 @@ def test_buffered_output_is_written_once():
                          text=True, check=True, timeout=120)
     assert out.stdout == "before the run\nafter the run, forks: 1\n"
     assert out.stderr == ""
+
+
+# -- near the w-axis ----------------------------------------------------------------------
+
+
+# The engine tests the w-axis once a block and, when a state of the block lies
+# below FastPath.guard, runs the block again with the kernel's per-step test
+# (see _lockstep_iterate).  These orbits enter that band at the step named:
+# (-1, 1 + ln 235) lands at |z1| = 8.7e-103 under rank0_map(2); the rest were
+# found by a forward scan of random seeds.  Their w is past 1e200 by then, so
+# they are escaped data, and the per-step test sends the next step to the axis
+# limit (0, w) where the arithmetic alone does not.  Pre-images under
+# eval_inverse_batch would not do: that of (-1, 1 + ln 235) overflows, and
+# those of other landing points lose the landing within three forward steps.
+H4 = rank0_map(4)     # guard 1e-75, above AXIS_THRESHOLD
+ENTRIES = {
+    "rank0_2": (H0, {
+        1: (-1 + 0j, 1 + math.log(235) + 0j),
+        63: (0.061614530730090676 - 0.01600525054663978j,
+             5.123447905828073 - 14.814165920995341j),
+        64: (0.053951864984199016 - 0.007047643912257529j,
+             -5.595277986034937 - 13.851700189307481j),
+        65: (0.06467636841103462 + 0.01220650871545834j,
+             9.73727888993465 - 1.1185067424150965j),
+        127: (0.05575902567456508 - 0.017419985491820174j,
+              19.554127547379608 - 19.899440240103328j),
+    }),
+    "rank0_4": (H4, {
+        1: (0.8515624299162406 - 0.6246061361042768j,
+            -3.6244920496422814 + 9.078434427460348j),
+        63: (0.06079418052285457 - 5.799588103245366e-05j,
+             11.28730389650125 + 9.820380296952909j),
+        64: (0.05877357141078193 - 0.007194760635393682j,
+             -11.719489583079842 + 4.547176550087148j),
+        65: (0.2142707609665243 - 0.07802561510208997j,
+             15.865850940474658 - 8.539109344235332j),
+    }),
+    "rotation_1_3": (ROT3, {
+        63: (0.1405722556510554 + 0.013835622505301725j,
+             -2.0036125740078568 + 15.202800648040956j),
+        64: (0.05118390018229007 - 0.0038126858325944753j,
+             -2.0185143911614 + 6.362895069604342j),
+        65: (0.06428939048057308 - 0.0014751885259025306j,
+             -13.332535077191663 - 7.229984406568711j),
+        127: (0.12714785447883387 + 0.011508507193839565j,
+              13.97181535552393 - 1.1465542637195156j),
+    }),
+}
+NEAR_AXIS = [(name, s) for name, (_, seeds) in ENTRIES.items() for s in seeds
+             if name != "rotation_1_3"]
+
+
+def entry_batch(name, s):
+    """The map, and 40 seeds of rank0_seeds in the original chart with the
+    seed entering at step s as the 18th; its entry is checked per step."""
+    m, seeds = ENTRIES[name]
+    zhat, w = rank0_seeds()
+    z = dyn.from_transformed(zhat)
+    z[17], w[17] = seeds[s]
+    rows = []
+    oracle.lockstep_iterate(m.eval_batch, z, w, None, s,
+                            on_step=lambda n, z, w: rows.append(np.abs(z)))
+    low = np.array(rows) < m.fastpath.guard
+    assert low[-1, 17] and not low[:-1].any() and low[-1].sum() == 1
+    return m, z, w
+
+
+@pytest.fixture
+def kernels():
+    """The kernel each engine step runs: a step that shows the map's FastPath
+    records maps._IN_ENGINE, which the engine sets to the kernel
+    AutoMap.eval_batch calls."""
+    seen = []
+
+    def stepper(m):
+        def step(z, w):
+            seen.append(maps._IN_ENGINE.get().__name__)
+            return m.eval_batch(z, w)
+
+        step.fastpath = m.fastpath
+        return step
+
+    return seen, stepper
+
+
+def one_replay(s, n_max, block):
+    """The kernels of a run that enters the band at step s: the arithmetic up
+    to the end of the entering block, that block again and the rest with the
+    per-step test."""
+    start = (s - 1) // block * block
+    end = min(start + block, n_max)
+    return ["_fast_arith"] * end + ["_fast_forward"] * (n_max - start)
+
+
+@pytest.mark.parametrize("short", [False, True])
+@pytest.mark.parametrize("name, s", NEAR_AXIS)
+def test_a_hook_free_run_near_the_axis_replays_one_block(monkeypatch, caplog, kernels,
+                                                         name, s, short):
+    m, z, w = entry_batch(name, s)
+    if short:     # blocks of 16: the entry falls at another place in its block
+        monkeypatch.setattr(dyn, "AXIS_ROW_BYTES", 16 * z.nbytes)
+    seen, stepper = kernels
+    caplog.set_level("DEBUG", logger="fatou")
+    for tol, n_max in ((None, 200), (1e-6, 200)):
+        seen.clear()
+        caplog.clear()
+        got = dyn._lockstep_iterate(stepper(m), z, w, tol, n_max)
+        assert same(list(got), list(oracle.lockstep_iterate(m.eval_batch, z, w, tol, n_max)))
+        assert seen == one_replay(s, got[2], 16 if short else dyn.CHECK_EVERY)
+        (record,) = caplog.records
+        assert record.levelname == "DEBUG" and record.name == "fatou.dynamics"
+        assert f"from step {s}: 1 seeds below the guard" in record.getMessage()
+        plain = dyn._lockstep_iterate(m.eval_batch, z, w, tol, n_max)
+        assert same(list(plain), list(got))
+
+
+@pytest.mark.parametrize("short", [False, True])
+@pytest.mark.parametrize("name, s", NEAR_AXIS)
+def test_hooked_runs_near_the_axis_see_the_per_step_rows(monkeypatch, caplog, name, s, short):
+    m, z, w = entry_batch(name, s)
+    if short:     # blocks of 16 rows
+        monkeypatch.setattr(dyn, "BLOCK_BYTES", 32 * 16 * z.size)
+    caplog.set_level("DEBUG", logger="fatou")
+    want = []
+    ref = oracle.lockstep_iterate(m.eval_batch, z, w, None, 200,
+                                  on_step=lambda n, z, w: want.append((n, z, w)) and False)
+    got = []
+
+    def on_block(n, zs, ws):
+        got.extend((n - len(zs) + 1 + i, zs[i].copy(), ws[i].copy()) for i in range(len(zs)))
+
+    out = dyn._lockstep_iterate(m.eval_batch, z, w, None, 200, on_block=on_block)
+    assert same(list(out), list(ref)) and same(got, want)
+    assert len(caplog.records) == 1
+    zhat = dyn.to_transformed(z)
+    assert same(outcome(lambda: dyn.check_growth_bounds(m, zhat, w, 200)),
+                outcome(lambda: oracle.check_growth_bounds(m, zhat, w, 200)))
+    # the entering seed alone: iterate stops at its escape, before or in the
+    # block that meets the axis
+    seed = (complex(z[17]), complex(w[17]))
+    for kw in ({}, dict(stop_tol=None, record_every=5)):
+        assert same(orbit_rows(dyn.iterate(m, seed, 200, **kw)),
+                    oracle.iterate(m, seed, 200, **kw))
+
+
+@pytest.mark.parametrize("m", [H0, H4, H1])
+def test_invariance_samples_that_meet_the_axis(caplog, m):
+    # 10 of the 60 samples of U_{0.5,1000} land below the guard at step 1
+    caplog.set_level("DEBUG", logger="fatou")
+    region = RegionUNM(0.5, 1000.0)
+    got = dyn.verify_forward_invariance(m, region, 60, 130).violations
+    assert same(got, oracle.forward_invariance_violations(m, region, 60, 130))
+    (record,) = caplog.records
+    assert "from step 1: 10 seeds below the guard" in record.getMessage()
+
+
+@pytest.mark.parametrize("name, s", NEAR_AXIS)
+def test_product_sum_near_the_axis(caplog, name, s):
+    # the kernel rows (z, z) come from the state z that the engine tests
+    m, z, w = entry_batch(name, s)
+    zhat = dyn.to_transformed(z)
+    caplog.set_level("DEBUG", logger="fatou")
+    got = outcome(lambda: dyn.track_product_sum_batch(m, zhat, w, 200))
+    assert got[0] == "raised" and "1 of 40 product/sum seeds" in got[2]
+    assert same(got, outcome(lambda: oracle.product_sum_run(m, zhat, w, 200, 0.0, None)[:4]))
+    # the run, and the run of the escaped seed alone that names its step when
+    # its escape and its entry share a block
+    assert 1 <= len(caplog.records) <= 2
+    assert all(f"from step {s}: 1 seeds" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("s", sorted(ENTRIES["rotation_1_3"][1]))
+def test_stride_3_keeps_the_per_step_test(caplog, kernels, s):
+    # the engine's rows hold every third state only, so the kernel tests the
+    # axis at every step
+    m, z, w = entry_batch("rotation_1_3", s)
+    seen, stepper = kernels
+    caplog.set_level("DEBUG", logger="fatou")
+    got = dyn._lockstep_iterate(stepper(m), z, w, None, 300, stride=3)
+    assert same(list(got), list(oracle.lockstep_iterate(m.eval_batch, z, w, None, 300,
+                                                        stride=3)))
+    assert seen == ["_fast_forward"] * 300 and caplog.records == []
+
+
+@pytest.mark.parametrize("m", [H0, H4, H1])
+def test_a_run_that_starts_below_the_guard_never_runs_unguarded(caplog, kernels, m):
+    # z = 1e-90 and -0.0 take the axis limit at every l; 1e-80 + 1e-80i lies
+    # below rank0_map(4)'s guard without its z^4 underflowing; the rest lie
+    # in the rank-0 region
+    seen, stepper = kernels
+    caplog.set_level("DEBUG", logger="fatou")
+    z = np.array([1e-90, -0.0, 1e-80 + 1e-80j, -1 / 6.5, -1 / (7 + 1j)])
+    w = np.array([0.5 + 0.2j, 2.0, -1j, 0.3, 0.7j])
+    starts = z if m is H4 else z[1:]
+    for n_max in (1, 130):
+        seen.clear()
+        caplog.clear()
+        got = dyn._lockstep_iterate(stepper(m), starts, w[-len(starts):], None, n_max)
+        assert same(list(got), list(oracle.lockstep_iterate(
+            m.eval_batch, starts, w[-len(starts):], None, n_max)))
+        assert seen == ["_fast_forward"] * n_max
+        (record,) = caplog.records
+        assert "from step 0: " in record.getMessage()
+
+
+def test_a_run_away_from_the_axis_logs_nothing(caplog, kernels):
+    # the package logger is silent unless configured
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("fatou").handlers)
+    seen, stepper = kernels
+    caplog.set_level("DEBUG", logger="fatou")
+    zhat, w = rank0_seeds()
+    got = dyn._lockstep_iterate(stepper(H0), dyn.from_transformed(zhat), w, None, 300)
+    assert seen == ["_fast_arith"] * 300
+    assert same(list(got), list(oracle.lockstep_iterate(
+        H0.eval_batch, dyn.from_transformed(zhat), w, None, 300)))
+    dyn.estimate_limit_map(H1, Grid2D(50 + 0j, 0.5 + 0j, 3, 3, 1e-3), tol=1e-9)
+    assert caplog.records == []
+
+
+@two_cores
+def test_split_runs_near_the_axis(monkeypatch, forks):
+    # an entry in each half of a 1,024-seed run: each process replays its own block
+    zhat, w = (a.ravel() for a in Grid2D(6.2 + 0j, 0.5 + 0j, 32, 32, 1e-3).seeds())
+    z = dyn.from_transformed(zhat)
+    (z[100], w[100]), (z[900], w[900]) = ENTRIES["rank0_2"][1][64], ENTRIES["rank0_2"][1][127]
+    for tol, n_max in ((None, 200), (1e-9, 3000)):
+        split, one, _ = both_ways(
+            monkeypatch, forks, lambda: dyn._lockstep_iterate(H0.eval_batch, z, w, tol, n_max))
+        assert same(split, one)
+        assert same(list(split), list(oracle.lockstep_iterate(H0.eval_batch, z, w, tol, n_max)))
+    assert forks[0] == 2 and no_child_left()

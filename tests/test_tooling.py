@@ -5,7 +5,7 @@ a rename or deletion under src/ would break that run, so it fails here.
 Every name in an ``__all__`` of the package and its modules resolves too,
 importing the package starts no process machinery, one function of
 fatou.dynamics decides on the split over two processes and holds the
-error state of a run, psi has one arithmetic path, one function of
+error state and the w-axis test of a run, psi has one arithmetic path, one function of
 fatou.linearization forms delta's growth constants, fatou.diophantine alone
 expands theta mod 1, and the README's flag table is the parser's.
 """
@@ -133,20 +133,26 @@ def test_only_the_engine_splits():
 
 
 def test_the_engine_alone_holds_the_error_state_of_a_run():
-    # the step kernel names no errstate (its caller holds one), and only
-    # _lockstep_iterate sets the flag by which eval_batch leaves it to the engine
+    # the step kernel names no errstate (its caller holds one), its arithmetic
+    # makes no reduction (the engine tests the w-axis once a block), and only
+    # _lockstep_iterate sets the flag by which eval_batch leaves both to the engine
     src = Path(importlib.import_module("fatou").__file__).parent
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    (kernel,) = [n for n in ast.walk(trees["maps"])
-                 if isinstance(n, ast.FunctionDef) and n.name == "_fast_forward"]
-    assert not any(isinstance(n, (ast.Name, ast.Attribute)) and "errstate" in
-                   (n.id if isinstance(n, ast.Name) else n.attr) for n in ast.walk(kernel))
-    setters = [(mod, top.name) for mod, tree in trees.items() for top in tree.body
+    kernels = {n.name: n for n in ast.walk(trees["maps"])
+               if isinstance(n, ast.FunctionDef) and n.name in ("_fast_forward", "_fast_arith")}
+    assert len(kernels) == 2
+    names = {name: {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(kernel)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+             for name, kernel in kernels.items()}
+    assert not any("errstate" in name for used in names.values() for name in used)
+    assert not names["_fast_arith"] & {"reduce", "min", "max", "amin", "amax", "any", "all",
+                                       "sum", "fmin", "fmax", "minimum", "maximum"}
+    setters = {(mod, top.name) for mod, tree in trees.items() for top in tree.body
                for n in ast.walk(top)
                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                and n.func.attr == "set" and "_IN_ENGINE" in (getattr(n.func.value, "id", None),
-                                                           getattr(n.func.value, "attr", None))]
-    assert setters == [("dynamics", "_lockstep_iterate")]
+                                                           getattr(n.func.value, "attr", None))}
+    assert setters == {("dynamics", "_lockstep_iterate")}
 
 
 def test_one_arithmetic_path_for_psi():
