@@ -23,6 +23,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -475,12 +476,12 @@ def cmd_sector(args) -> int:
         "ok": rep.ok,
         "per_r": {
             str(r): {
-                "sector_violations": len(res["sector_violations"]),
-                "complement_violations": len(res["complement_violations"]),
-                "final_violations": len(res["final_violations"]),
-                "chained_violations": len(res["chained_violations"]),
-                "drift_count": len(res["drift"]),
-                "drift_first": res["drift"][0] if res["drift"] else None,
+                "sector_violations": res["sector_violations"],
+                "complement_violations": res["complement_violations"],
+                "final_violations": res["final_violations"],
+                "chained_violations": res["chained_violations"],
+                "drift_count": res["drift"],
+                "drift_first": res["first"]["drift"],
             }
             for r, res in rep.results.items()
         },
@@ -516,6 +517,7 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)  # a build leaves cycles for the gc: build once per command
 def _parser(command: str | None) -> argparse.ArgumentParser:
     """The fatou parser with every subcommand, and flags on command's only:
     a parse runs one subcommand's parser, so no other flag is ever read."""

@@ -66,6 +66,9 @@ _SQRT_SCALE = 10**40  # integer scale for sqrt(d); error ~ k * 1e-40
 _K_BLOCK = 4096  # k per block of the loops over every k; ||k theta|| takes ~120 bytes a k
 _DD_TINY = 2.0**-968  # a part of theta mod 1 this large keeps k t's two-product exact
 _LOG_R_K_CAP = 709.0  # cap on k log r: e^709 squared overflows; math.expm1 raises past 709.78
+_SQRT_MAX = math.sqrt(sys.float_info.max)  # r^k - 1 past it: (r^k - 1)^2 is inf
+_SECTOR_KINDS = ("sector_violations", "complement_violations", "chained_violations",
+                 "final_violations", "drift")
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,18 @@ def _block_dist(theta):
     within E = k_last (2 |rho| + 2^-52 |t2|) + 2^-101, twice the error
     made.  d is correctly rounded where d + dl +- E both round to d; other
     k take _exact_dists: exact ties of a non-dyadic theta, rational zeros,
-    theta mod 1 below _DD_TINY, k past 2^53.  A dyadic theta mod 1 (every
-    float) is t0 alone: E = 0, d is Python's int / int, ties included."""
+    a theta mod 1 below _DD_TINY that is no binary64, k past 2^53.  A
+    dyadic theta mod 1 (every float) is t0 alone: E = 0, d is Python's
+    int / int, ties included.  A binary64 t below _DD_TINY has ||k theta||
+    = k t < 2^-915 for k <= 2^53: fl(k t) is correctly rounded."""
     a, den = _k_theta_num_den(theta, 1)
     rest, parts = Fraction(a % den, den), []
     while len(parts) < 3 and abs(float(rest)) >= _DD_TINY:
         parts.append(float(rest))
         rest -= Fraction(parts[-1])
+    if not parts and Fraction(float(rest)) == rest:  # a binary64 t below _DD_TINY
+        return lambda ks: (np.arange(ks.start, ks.stop, dtype=float) * float(rest)
+                           if ks.stop <= 2**53 + 1 else np.array(_exact_dists(a, den, ks)))
     t0, t1, t2 = parts + [0.0] * (3 - len(parts))
     slope = 2.0 * float(abs(rest)) + 2.0**-52 * abs(t2)
     floor = 0.0 if rest == 0 and t1 == 0 else 2.0**-101
@@ -207,19 +215,6 @@ def _moduli(theta, k_max: int, ks=None):
 def _powers(ks, e) -> np.ndarray:
     """k ** e for the ints k in ks, as Python gives it, rounded to float64."""
     return np.fromiter(map(e.__rpow__, ks), float, len(ks))
-
-
-def _int_array(ks: range) -> np.ndarray:
-    """ks as an object array.  Every list picked from it holds the same int
-    object for a k (the loop over k and r shared one per k and r), so a
-    report with many violations and drift entries takes no more memory."""
-    return np.fromiter(ks, object, len(ks))
-
-
-def _picked(k_ints: np.ndarray, mask: np.ndarray, *cols: np.ndarray) -> list:
-    """(k, col values...) tuples of Python numbers where mask holds."""
-    idx = np.flatnonzero(mask)
-    return list(zip(k_ints[idx].tolist(), *(c[idx].tolist() for c in cols)))
 
 
 # -- continued fractions ------------------------------------------------
@@ -430,23 +425,19 @@ class SectorReport:
     k_max: int
     c_prime: float
     results: dict = field(default_factory=dict)
-    # results[r] is a dict with keys:
+    # results[r]: each kind's count of k <= k_max, and "first": each kind's first k or None
     #   sector_violations        (k in I with |lam^k - 1| <= sqrt(2)/2)
     #   complement_violations    (k not in I failing the cos(pi/4) bound)
-    #   chained_violations       (k in I failing the chained middle bound; expected
-    #                             under drift, reported but not asserted)
+    #   chained_violations       (k in I failing the chained middle bound; drift may break it)
     #   final_violations         (k failing |lam^k - 1| >= c' k^-N)
-    #   drift                    (k values where r^k left [1/2, 2])
+    #   drift                    (k where r^k left [1/2, 2])
 
     @property
     def ok(self) -> bool:
         # c' = 0 (theta rational, lam a root of unity) bounds nothing away from 0
-        return self.c_prime > 0 and all(
-            not res["sector_violations"]
-            and not res["complement_violations"]
-            and not res["final_violations"]
-            for res in self.results.values()
-        )
+        return self.c_prime > 0 and not any(
+            res[kind] for res in self.results.values()
+            for kind in ("sector_violations", "complement_violations", "final_violations"))
 
 
 def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorReport:
@@ -462,60 +453,75 @@ def check_sector_lemma(theta0, r_values, k_max: int, N: float = 1.0) -> SectorRe
     linearization consumes is the final bound with
     c' = sqrt(2)/2 * max_c(theta0, N, k_max).
 
-    ||k theta0|| comes once per k from _dist_blocks, and every r is tested
-    on each block with array masks.  r^k - 1 = expm1(k log r) is libm's,
-    as math.expm1 gives it (np.expm1 differs in the last bit on a few
-    percent of inputs).  k^-N is np.power's, within a few ulps of libm's;
-    Python's k ** -N replaces it where v is not above it by a relative
-    2^-40 and where it is not below 2^1023 (** may raise OverflowError
-    there, as in the loop over k).  The products and sqrt are correctly
-    rounded, and np.sin matches math.sin.  So every violation tuple and
-    drift entry equals that of the loop over k and r bit for bit, which
-    the oracle tests check.  Past the overflow of r^k (from k = 8237 at
-    r = 1.09) |lam^k - 1| is inf: a drift entry that breaks no bound.
+    Each kind is counted, and its first k kept, block by block
+    (_sector_masks), so the report's memory does not grow with k_max.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     r_values = [float(r) for r in r_values]
-    for r in r_values:
-        if not 0.9 < r < 1.1:
-            raise ValueError("r values must lie in (0.9, 1.1)")
+    if not all(0.9 < r < 1.1 for r in r_values):
+        raise ValueError("r values must lie in (0.9, 1.1)")
+    c_prime = math.sqrt(2.0) / 2.0 * max_c(theta0, N, k_max)
+    report = SectorReport(_theta_value(theta0), N, k_max, c_prime, {
+        r: dict.fromkeys(_SECTOR_KINDS, 0) | {"first": dict.fromkeys(_SECTOR_KINDS)}
+        for r in r_values})
+    for ks, r, masks in _sector_masks(theta0, report.results, k_max, N, c_prime):
+        res = report.results[r]
+        for kind, mask in masks.items():
+            count = int(np.count_nonzero(mask))
+            if count and not res[kind]:
+                res["first"][kind] = ks.start + int(mask.argmax())
+            res[kind] += count
+    return report
+
+
+def _sector_masks(theta0, r_values, k_max: int, N: float, c_prime: float):
+    """(ks, r, masks) per block ks of _dist_blocks and per r: masks maps each
+    kind (_SECTOR_KINDS) to the bool array of its k in ks, the k of the loop
+    over k and r.  r^k - 1 = expm1(k log r) is np.expm1's, relied on to lie
+    within a relative 2^-42 of libm's math.expm1 (a probe of 8 10^5 x up to
+    709 found 1 ulp at most).  v has no cancellation and moves no more, so
+    where v and r^k lie a relative 2^-40 from every threshold -- sqrt(2)/2,
+    the unit and final bounds, 1/2, 2, and sqrt(DBL_MAX), past which
+    (r^k - 1)^2 and v are inf -- both take the same decisions; math.expm1
+    redoes the other k.  k log r is capped below expm1's overflow (from
+    k = 8237 at r = 1.09): v stays inf, a drift entry that breaks no bound.
+    k^-N is np.power's; Python's k ** -N replaces it where v is not a
+    relative 2^-40 above it or it is not below 2^1023 (** may raise
+    OverflowError there, as in the loop over k).  np.sin matches math.sin.
+    """
     half_sqrt2 = math.sqrt(2.0) / 2.0
-    c_prime = half_sqrt2 * max_c(theta0, N, k_max)
-    report = SectorReport(_theta_value(theta0), N, k_max, c_prime)
-    if not r_values:
-        return report
-    for r in r_values:
-        report.results[r] = {
-            "sector_violations": [],
-            "complement_violations": [],
-            "chained_violations": [],
-            "final_violations": [],
-            "drift": [],
-        }
-    for ks, dist in _dist_blocks(theta0, k_max):
-        k_ints, k_floats = _int_array(ks), np.arange(ks.start, ks.stop, dtype=float)
+    for ks, dist in _dist_blocks(theta0, k_max) if r_values else ():
+        k = np.arange(ks.start, ks.stop, dtype=float)
         sin_half = np.sin(np.pi * dist)                  # |e^{i phi} - 1| / 2
         unit_bound = half_sqrt2 * (2.0 * sin_half)
         with np.errstate(over="ignore"):  # inf, as in Python floats
-            powers = np.power(k_floats, -N)
+            powers = np.power(k, -N)
             final_bound = c_prime * powers
         in_sector = dist > 0.125
-        for r, res in report.results.items():
-            # r^k - 1 = expm1(k log r), no cancellation; k log r is capped
-            # below the overflow of expm1, where (r^k - 1)^2 and v are inf
-            xs = np.minimum(k_floats * math.log1p(r - 1.0), _LOG_R_K_CAP).tolist()
-            rk_m1 = np.fromiter(map(math.expm1, xs), float, len(ks))
-            rk = rk_m1 + 1.0
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in floats
-                v = np.sqrt(rk_m1 * rk_m1 + 4.0 * rk * sin_half * sin_half)
-            below_unit = v < unit_bound
-            res["drift"] += k_ints[~((0.5 <= rk) & (rk <= 2.0))].tolist()
-            res["sector_violations"] += _picked(k_ints, in_sector & ~(v > half_sqrt2), v)
-            res["chained_violations"] += _picked(k_ints, in_sector & below_unit, v, unit_bound)
-            res["complement_violations"] += _picked(k_ints, ~in_sector & below_unit, v, unit_bound)
+        for r in r_values:
+            xs = np.minimum(k * math.log1p(r - 1.0), _LOG_R_K_CAP)
+            rk_m1 = np.expm1(xs)
+            rk, v = _rk_and_v(rk_m1, sin_half)
             near = ~((v > np.maximum(final_bound, 2.0**-1000) * (1.0 + 2.0**-40))
                      & (powers < 2.0**1023))
-            final_bound[near] = c_prime * _powers(k_ints[near], -N)
-            res["final_violations"] += _picked(k_ints, v < final_bound, v, final_bound)
-    return report
+            final_bound[near] = c_prime * _powers((ks.start + np.flatnonzero(near)).tolist(), -N)
+            redo = (_near(v, half_sqrt2) | _near(v, unit_bound) | _near(v, final_bound)
+                    | _near(rk, 0.5) | _near(rk, 2.0) | _near(rk_m1, _SQRT_MAX))
+            if redo.any():
+                rk_m1[redo] = [math.expm1(x) for x in xs[redo].tolist()]
+                rk, v = _rk_and_v(rk_m1, sin_half)
+            below_unit = v < unit_bound
+            yield ks, r, dict(zip(_SECTOR_KINDS, (
+                in_sector & ~(v > half_sqrt2), ~in_sector & below_unit, in_sector & below_unit,
+                v < final_bound, ~((0.5 <= rk) & (rk <= 2.0)))))
+
+
+def _rk_and_v(rk_m1, sin_half):  # r^k and v = |lam^k - 1|, by the loop over k's operations
+    rk = rk_m1 + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in floats
+        return rk, np.sqrt(rk_m1 * rk_m1 + 4.0 * rk * sin_half * sin_half)
+
+
+def _near(a, b):  # where a lies within a relative 2^-40 of b >= 0
+    return np.abs(a - b) <= b * 2.0**-40

@@ -562,11 +562,11 @@ def _in_halves(loop, state):
     91 us split; the fork costs 2-5 ms.
 
     Each side pickles to the other through its own pipe.  The child writes
-    nothing to stdout or stderr, sends its result, or a SplitRunError
-    naming its failure, and leaves with os._exit, so no buffered output is
-    flushed twice.  The parent raises that error; a failure in the parent
-    kills and reaps the child before it propagates.  No child outlives the
-    call.
+    nothing to stdout or stderr, sends its result with its fatou log records
+    (re-emitted by the parent) or a SplitRunError naming its failure, and
+    leaves with os._exit, so no buffered output is flushed twice.  The
+    parent raises that error; a failure in the parent kills and reaps the
+    child before it propagates.  No child outlives the call.
     """
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     if not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() > 1:
@@ -591,12 +591,16 @@ def _in_halves(loop, state):
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, 1)
             os.dup2(null, 2)
+            records, keep = [], logging.Handler()   # its filter keeps what fatou logs here
+            keep.addFilter(lambda rec: records.append(logging.makeLogRecord(
+                {**vars(rec), "msg": rec.getMessage(), "args": None, "exc_info": None})))
+            logging.getLogger("fatou").addHandler(keep)
 
             def agree(mine):
                 _dump(up, mine)
                 return float(np.fmax(_load(down), mine))
 
-            _dump(up, loop(tuple(a[half:] for a in state), agree))
+            _dump(up, (loop(tuple(a[half:] for a in state), agree), records))
             code = 0
         except BaseException as exc:
             with contextlib.suppress(BaseException):
@@ -618,7 +622,7 @@ def _in_halves(loop, state):
             return float(np.fmax(mine, _load(up)))
 
         mine = loop(tuple(a[:half] for a in state), agree)
-        theirs = _load(up)
+        theirs, records = _load(up)
         finished = True
     finally:
         if not finished:
@@ -628,6 +632,8 @@ def _in_halves(loop, state):
         up.close()
         with contextlib.suppress(BrokenPipeError):
             down.close()                # closes the fd even when its flush fails
+    for record in records:              # the child's log records, after the parent's
+        logging.getLogger(record.name).handle(record)
     return tuple(np.concatenate((a, b)) if isinstance(a, np.ndarray) else max(a, b)
                  for a, b in zip(mine, theirs))
 
@@ -988,11 +994,15 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
     def radius(zv, wv):
         return np.sqrt(np.abs(zv - qz) ** 2 + np.abs(wv - qw) ** 2)
 
-    def image(tt: float, n: int):
-        # F^n of the seed-segment point at parameter tt
-        zz = z0 + tt * (f_p[0] - z0)
-        ww = w0 + tt * (f_p[1] - w0)
-        return _lockstep_iterate(m.eval_batch, [zz], [ww], None, n)[:2]
+    def images(lo: float, hi: float, n: int) -> dict:
+        # F^n of lo and the 31 midpoints of five more bisection levels, in one batch
+        def mids(a, b, depth):
+            c = 0.5 * (a + b)
+            return [c, *mids(a, c, depth - 1), *mids(c, b, depth - 1)] if depth else []
+        tts = [lo, *mids(lo, hi, 5)]
+        zn, wn = _lockstep_iterate(m.eval_batch, [z0 + tt * (f_p[0] - z0) for tt in tts],
+                                   [w0 + tt * (f_p[1] - w0) for tt in tts], None, n)[:2]
+        return {tt: (zn[j:j + 1], wn[j:j + 1]) for j, tt in enumerate(tts)}
 
     # the crossing scan and the invariance defect read a block of rows at a time
     hits = []
@@ -1002,16 +1012,18 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
         for i, k in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0)):
             n = row + int(i)
             lo, hi = t[k], t[k + 1]
-            f_lo = float(radius(*image(lo, n))[0]) - eps
+            seen = images(lo, hi, n)
+            f_lo = float(radius(*seen[lo])[0]) - eps
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
-                f_mid = float(radius(*image(mid, n))[0]) - eps
+                seen = seen if mid in seen else images(lo, hi, n)
+                f_mid = float(radius(*seen[mid])[0]) - eps
                 if (f_lo < 0) == (f_mid < 0):
                     lo, f_lo = mid, f_mid
                 else:
                     hi = mid
             tt = 0.5 * (lo + hi)
-            zz, ww = image(tt, n)
+            zz, ww = (seen if tt in seen else images(lo, hi, n))[tt]
             hits.append((complex(zz[0]), complex(ww[0])))
             hit_params.append((n, tt))
     # invariance against the generator pipeline, which shares no code with

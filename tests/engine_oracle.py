@@ -7,7 +7,9 @@ stop at the same steps, and every result built on it must equal the one
 built here bit for bit.  The functions below are the per-step versions of
 the dynamics entry points whose hooks changed; each returns what its
 counterpart returns, or raises the same MapEscapeError.  The orbit CSV
-writer here formats one cell at a time, as the CLI once did.
+writer here formats one cell at a time, as the CLI once did, and
+``curve_crossings`` bisects each curve crossing with one one-seed run per
+midpoint.
 """
 
 import cmath
@@ -221,6 +223,41 @@ def curve_polylines(m, p, segments_per_step, n_max):
     raise_on_escape(m, to_transformed(poly_z[0]), poly_w[0],
                     _escaped(poly_z[-1], poly_w[-1]), n_max, "curve points", poly_z[0])
     return poly_z, poly_w
+
+
+def curve_crossings(m, p, q_target, segments_per_step, poly_z, poly_w, eps, bisect_tol):
+    """(sphere_hits, hit_params) of invariant_curve from its rows: each
+    crossing bisected one midpoint at a time, each image a one-seed run."""
+    z0, w0 = complex(p[0]), complex(p[1])
+    f_p = m.eval(z0, w0)
+    t = np.linspace(0.0, 1.0, segments_per_step + 1)
+    qz, qw = complex(q_target[0]), complex(q_target[1])
+
+    def radius(zv, wv):
+        return np.sqrt(np.abs(zv - qz) ** 2 + np.abs(wv - qw) ** 2)
+
+    def image(tt, n):
+        zz = z0 + tt * (f_p[0] - z0)
+        ww = w0 + tt * (f_p[1] - w0)
+        return lockstep_iterate(m.eval_batch, [zz], [ww], None, n)[:2]
+
+    hits, params = [], []
+    g = radius(poly_z, poly_w) - eps
+    for n, k in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0)):
+        lo, hi = t[k], t[k + 1]
+        f_lo = float(radius(*image(lo, n))[0]) - eps
+        while hi - lo > bisect_tol:
+            mid = 0.5 * (lo + hi)
+            f_mid = float(radius(*image(mid, n))[0]) - eps
+            if (f_lo < 0) == (f_mid < 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        tt = 0.5 * (lo + hi)
+        zz, ww = image(tt, n)
+        hits.append((complex(zz[0]), complex(ww[0])))
+        params.append((int(n), tt))
+    return hits, params
 
 
 def product_sum_run(m, zhat, w, n_max, tol, record_every):

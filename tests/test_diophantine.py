@@ -197,11 +197,11 @@ def test_sector_root_of_unity_is_not_ok():
 def test_sector_drift_reported():
     rep = check_sector_lemma(GOLDEN, [0.9 + 1e-12], 10**4)
     res = rep.results[0.9 + 1e-12]
-    assert len(res["drift"]) > 0
+    assert res["drift"] > 0
     # |r^k e^{i phi} - 1| -> 1 under decay, so the consumed conclusion holds
     assert not res["final_violations"]
     # the chained middle inequality genuinely fails under drift: reported only
-    assert len(res["chained_violations"]) > 0
+    assert res["chained_violations"] > 0
 
 
 def test_sector_validates_r_window():
@@ -375,6 +375,8 @@ BLOCK_THETAS = {
     "-2/9": Fraction(-2, 9),
     "zero": 0.0,
     "tiny": 1e-300,
+    "2^-1000": 2.0**-1000,
+    "5e-324": 5e-324,
     "5/4": 1.25,
     "0.1": 0.1,
 }
@@ -406,7 +408,8 @@ def test_dist_blocks_equal_dist_k_theta(name, monkeypatch):
 FALLBACKS = {
     "3/7": lambda k: k % 7 == 0,    # rational zeros
     "-2/9": lambda k: k % 9 == 0,
-    "tiny": lambda k: True,          # theta mod 1 below _DD_TINY
+    "tiny": lambda k: False,         # a binary64 below _DD_TINY: fl(k t)
+    "5e-324": lambda k: False,
     "0.1": lambda k: False,          # dyadic: ties and zeros round exactly
     "zero": lambda k: False,
 }
@@ -431,7 +434,7 @@ def test_dist_blocks_fall_back_where_the_rounding_is_not_certified(name, monkeyp
 
 
 @pytest.mark.parametrize("k0", [10**9, 2**52 - 4096, 2**53 - 50])
-@pytest.mark.parametrize("name", ["golden", "silver", "inv_pi", "binary64", "3/7", "0.1"])
+@pytest.mark.parametrize("name", ["golden", "silver", "inv_pi", "binary64", "3/7", "0.1", "tiny"])
 def test_dist_block_far_out_equals_dist_k_theta(name, k0):
     # past 2^53 a k is no float, and every k takes the exact reduction
     theta = BLOCK_THETAS[name]
@@ -449,9 +452,32 @@ SECTOR_THETAS = {
 }
 
 
+def kind_ks(theta, r_values, k_max, N, c_prime):
+    """Per r and kind, the list of k of that kind from the library's block pass."""
+    got = {r: {kind: [] for kind in dio._SECTOR_KINDS} for r in map(float, r_values)}
+    for ks, r, masks in dio._sector_masks(theta, got, k_max, N, c_prime):
+        for kind, mask in masks.items():
+            got[r][kind] += (ks.start + np.flatnonzero(mask)).tolist()
+    return got
+
+
+def oracle_ks(results):
+    """Per r and kind, the k of the oracle's drift entries and violation tuples."""
+    return {r: {kind: [e if isinstance(e, int) else e[0] for e in entries]
+                for kind, entries in res.items()} for r, res in results.items()}
+
+
+def counted(ks_by_r):
+    """The report's results for these k: per r, each kind's count and first k."""
+    return {r: {**{kind: len(ks) for kind, ks in res.items()},
+                "first": {kind: ks[0] if ks else None for kind, ks in res.items()}}
+            for r, res in ks_by_r.items()}
+
+
 def assert_same_report(theta, r_values, k_max, N):
-    """check_sector_lemma against the per-k, per-r oracle, bit for bit, or
-    the same exception from both."""
+    """check_sector_lemma against the per-k, per-r oracle: c' bit for bit,
+    and per r and kind the same k, so the same counts and first k; or the
+    same exception from both.  Returns the oracle's k per r and kind."""
     try:
         c_prime, results = series_oracle.check_sector_lemma(theta, r_values, k_max, N)
     except ArithmeticError as exc:
@@ -460,29 +486,27 @@ def assert_same_report(theta, r_values, k_max, N):
         return
     rep = check_sector_lemma(theta, r_values, k_max, N)
     assert rep.c_prime.hex() == c_prime.hex()
-    # repr tells int from float and keeps every bit of a float
-    assert repr(rep.results) == repr(results), (r_values, k_max, N)
-    return results
+    want = oracle_ks(results)
+    assert kind_ks(theta, r_values, k_max, N, rep.c_prime) == want, (r_values, k_max, N)
+    assert rep.results == counted(want), (r_values, k_max, N)
+    return want
 
 
 R_OVERFLOW, K_OVERFLOW = 1.09, 8237   # the first k whose r^k overflows
 
 
-def assert_overflow_is_drift(theta, r_all, k_max, N, results):
+def assert_overflow_is_drift(theta, r_all, k_max, N, want):
     """With R_OVERFLOW among r_all the oracle raises from K_OVERFLOW on.
-    The report equals the oracle's at the other r, and at R_OVERFLOW below
-    K_OVERFLOW; from there on every k is a drift entry and no violation."""
+    The k equal the oracle's at the other r, and at R_OVERFLOW below
+    K_OVERFLOW; from there on every k is drift and none a violation."""
     assert r_all[-1] == R_OVERFLOW
     rep = check_sector_lemma(theta, r_all, k_max, N)
-    far = rep.results.pop(R_OVERFLOW)
-    assert repr(rep.results) == repr(results)
-    below = assert_same_report(theta, [R_OVERFLOW], min(k_max, K_OVERFLOW - 1), N)
-    head = {key: [e for e in v if (e if isinstance(e, int) else e[0]) < K_OVERFLOW]
-            for key, v in far.items()}
-    assert repr(head) == repr(below[R_OVERFLOW])
-    assert far["drift"][len(below[R_OVERFLOW]["drift"]):] == list(range(K_OVERFLOW, k_max + 1))
-    assert sum(map(len, far.values())) == sum(map(len, head.values())) + max(
-        0, k_max - K_OVERFLOW + 1)
+    got = kind_ks(theta, r_all, k_max, N, rep.c_prime)
+    far = got.pop(R_OVERFLOW)
+    assert got == want
+    below = assert_same_report(theta, [R_OVERFLOW], min(k_max, K_OVERFLOW - 1), N)[R_OVERFLOW]
+    assert far == {**below, "drift": below["drift"] + list(range(K_OVERFLOW, k_max + 1))}
+    assert rep.results == counted({**want, R_OVERFLOW: far})
 
 
 def test_sector_overflow_starts_at_k_overflow():
@@ -496,14 +520,14 @@ def test_sector_overflow_starts_at_k_overflow():
 def test_sector_report_equals_per_k_oracle(name):
     theta = SECTOR_THETAS[name]
     r_all = [0.91, 0.999, 1.0, 1.001, 1.09]
-    tuples = 0
+    entries = 0
     for N in (-0.5, 0.5, 1, 2):
         for k_max in (1, 2, 10**4):
-            results = assert_same_report(theta, r_all[:-1], k_max, N)
-            tuples += sum(len(v) for res in results.values() for v in res.values())
-            assert_overflow_is_drift(theta, r_all, k_max, N, results)
+            want = assert_same_report(theta, r_all[:-1], k_max, N)
+            entries += sum(len(ks) for res in want.values() for ks in res.values())
+            assert_overflow_is_drift(theta, r_all, k_max, N, want)
         assert_same_report(theta, [1.09, 0.91], 8000, N)
-    assert tuples > 3 * 20000  # drift and chained violations at the far r
+    assert entries > 3 * 20000  # drift and chained violations at the far r
 
 
 def test_sector_power_overflow_raises_as_python_does():
@@ -519,7 +543,7 @@ def test_sector_power_overflow_raises_as_python_does():
 @pytest.mark.parametrize("name", ["golden", "3/7", "binary64"])
 def test_sector_report_with_many_final_violations(name, monkeypatch):
     # a constant far above max_c breaks the final bound at thousands of k,
-    # whose tuples carry Python's k ** -N
+    # whose decisions take Python's k ** -N
     theta = SECTOR_THETAS[name]
 
     def large(theta, N, k_max):
@@ -529,8 +553,8 @@ def test_sector_report_with_many_final_violations(name, monkeypatch):
     monkeypatch.setattr(series_oracle, "max_c", large)
     broken = {}
     for N in (-0.5, 0, 0.5, 1):
-        results = assert_same_report(theta, [0.91, 0.999, 1.0005], 10**4, N)
-        broken[N] = sum(len(res["final_violations"]) for res in results.values())
+        want = assert_same_report(theta, [0.91, 0.999, 1.0005], 10**4, N)
+        broken[N] = sum(len(res["final_violations"]) for res in want.values())
     assert broken[-0.5] == 30000 and broken[0.5] > 1000 and broken[1] > 50
 
 
@@ -580,6 +604,58 @@ def test_sector_takes_python_powers_only_near_the_bound(monkeypatch):
     rep = check_sector_lemma(GOLDEN, [0.999, 1.0, 1.001], 1000)
     assert powers == [] and len(reductions) == 15
     assert rep.ok
+
+
+def counting_expm1(monkeypatch):
+    """The arguments of every math.expm1 call from here to the test's end."""
+    xs, plain = [], math.expm1
+    monkeypatch.setattr(math, "expm1", lambda x: xs.append(x) or plain(x))
+    return xs
+
+
+def test_sector_takes_libm_expm1_only_near_a_threshold(monkeypatch):
+    # r^k - 1 comes from np.expm1; math.expm1 only where v or r^k lies within
+    # a relative 2^-40 of a threshold, and no golden k does.  Past the overflow
+    # of (r^k - 1)^2 (from k = 4119 at r = 1.09) v is inf on both paths.
+    xs = counting_expm1(monkeypatch)
+    assert check_sector_lemma(GOLDEN, [0.999, 1.001], 10**4).ok
+    assert xs == []
+    rep = check_sector_lemma(GOLDEN, [0.91, 1.09], 10**4)
+    assert rep.results[1.09]["drift"] == 10**4 - 8 and len(xs) <= 2
+
+
+def test_sector_decision_on_a_threshold_takes_libm(monkeypatch):
+    # N = 0 and max_c patched so that c' = v at k = 89 and r = 1.001: the
+    # final bound is met with equality, not broken.  np.expm1 one ulp low, as
+    # it may be, would put v below it; the recheck takes libm's r^k - 1 there.
+    k0, c = 89, 0.13960275785663498
+    for module in (dio, series_oracle):
+        monkeypatch.setattr(module, "max_c", lambda theta, N, k_max: c)
+    plain = np.expm1
+    monkeypatch.setattr(np, "expm1", lambda x: np.nextafter(plain(x), -np.inf))
+    want = assert_same_report(GOLDEN, [1.001], 1000, 0)
+    assert want[1.001]["final_violations"] == [34, 55]  # Fibonacci, as k0
+    xs = counting_expm1(monkeypatch)
+    check_sector_lemma(GOLDEN, [1.001], 1000, 0)
+    assert k0 * math.log1p(1.001 - 1.0) in xs and len(xs) <= 3
+    # every k recomputed by libm gives the same k too
+    monkeypatch.setattr(dio, "_near", lambda a, b: np.ones(np.shape(a), dtype=bool))
+    assert_same_report(GOLDEN, [0.91, 1.001, 1.09], 8000, 0)
+    xs.clear()
+    check_sector_lemma(GOLDEN, [0.91, 1.001, 1.09], 8000, 0)
+    assert len(xs) == 3 * 8000
+
+
+def test_sector_report_memory_does_not_grow_with_k_max():
+    tracemalloc = pytest.importorskip("tracemalloc")
+    tracemalloc.start()
+    try:
+        rep = check_sector_lemma(GOLDEN, [0.999, 1.001], 2 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.results[1.001]["drift"] == 2 * 10**5 - 693
+    assert peak < 2 * 2**20
 
 
 def test_isqrt_once_per_quadratic_irrational(monkeypatch):

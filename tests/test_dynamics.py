@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import engine_oracle
 from fatou import dynamics as dyn
 from fatou.maps import AutoMap, MapEscapeError, rank0_map, rank1_map, rotation_map
 from fatou.dynamics import (
@@ -370,6 +371,38 @@ def test_invariant_curve_bisection_accuracy():
     for (zh, wh) in cur.sphere_hits:
         r = math.sqrt(abs(zh) ** 2 + abs(wh) ** 2)
         assert abs(r - 1e-2) < 1e-8  # hit located on the sphere
+
+
+def hexed(hits, params):
+    return ([(z.real.hex(), z.imag.hex(), w.real.hex(), w.imag.hex()) for z, w in hits],
+            [(n, t.hex()) for n, t in params])
+
+
+@pytest.mark.parametrize("seed, n_max, eps, tol", [
+    (60.0, 10**4, 1e-2, 1e-10),          # the README curve
+    (57.3 + 0.4j, 3000, 1e-2, 1e-10),    # a seed from the rank-0 workload's range
+    (60.0, 400, 1e-2, 1e-13),
+])
+def test_curve_crossings_equal_the_bisection_one_midpoint_at_a_time(seed, n_max, eps, tol):
+    p = (tr(seed), 0.0)
+    cur = invariant_curve(H0, p, (0, 0), 16, n_max, eps, bisect_tol=tol)
+    want = engine_oracle.curve_crossings(H0, p, (0, 0), 16, cur.polyline_z, cur.polyline_w,
+                                         eps, tol)
+    assert cur.sphere_hits and hexed(cur.sphere_hits, cur.hit_params) == hexed(*want)
+
+
+def test_curve_crossing_runs_the_map_once_a_batch_of_midpoints(monkeypatch):
+    # the README curve crosses at n = 46 and bisects 32 points: one run of
+    # F^46 for each took 1,472 calls; a batch of lo and the 31 midpoints of
+    # the next five levels takes 7 runs
+    calls = []
+    plain = AutoMap.eval_batch
+    monkeypatch.setattr(AutoMap, "eval_batch",
+                        lambda self, z, w: calls.append(np.size(z)) or plain(self, z, w))
+    cur = invariant_curve(H0, (tr(60.0), 0.0), (0, 0), 16, 10**4, 1e-2)
+    assert [n for n, _ in cur.hit_params] == [46]
+    crossing = calls[10**4 + 1:]           # after F(p) and the 10^4 row steps
+    assert len(crossing) == 7 * 46 and set(crossing) == {32}
 
 
 # -- decay/stabilization invariants ------------------------------------------------

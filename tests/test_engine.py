@@ -850,6 +850,22 @@ def test_a_run_away_from_the_axis_logs_nothing(caplog, kernels):
 
 
 @two_cores
+def test_a_split_run_logs_the_switch_of_each_half(caplog, forks):
+    # the forked half's records reach the parent's handlers, after its own
+    zhat, w = (a.ravel() for a in Grid2D(6.2 + 0j, 0.5 + 0j, 32, 32, 1e-3).seeds())
+    z = dyn.from_transformed(zhat)
+    z[100], w[100] = z[900], w[900] = ENTRIES["rank0_2"][1][1]
+    caplog.set_level("DEBUG", logger="fatou")
+    got = dyn._lockstep_iterate(H0.eval_batch, z, w, None, 200)
+    assert forks[0] == 1 and no_child_left()
+    assert same(list(got), list(oracle.lockstep_iterate(H0.eval_batch, z, w, None, 200)))
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("fatou.dynamics", "DEBUG",
+         "w-axis test per step from step 1: 1 seeds below the guard 1e-100")] * 2
+    assert caplog.records[0].process == os.getpid() != caplog.records[1].process
+
+
+@two_cores
 def test_split_runs_near_the_axis(monkeypatch, forks):
     # an entry in each half of a 1,024-seed run: each process replays its own block
     zhat, w = (a.ravel() for a in Grid2D(6.2 + 0j, 0.5 + 0j, 32, 32, 1e-3).seeds())
