@@ -1,24 +1,12 @@
 """Toolkit for invariant Fatou components of C^2 automorphisms.
 
-Modules:
-
-* :mod:`fatou.algebra` -- exact-shape truncated power-series arithmetic.
-* :mod:`fatou.maps` -- explicit automorphism pipelines, jets, and the
-  shear/overshear coefficient solvers.
-* :mod:`fatou.dynamics` -- orbit iteration, region invariance, limit maps
-  with rank detection, product/sum splitting, argument-principle coverage,
-  and the invariant curve construction.
-* :mod:`fatou.linearization` -- the conjugation recursion
-  F(psi(w)) = psi(lambda w) with small divisors and majorant certificates.
-* :mod:`fatou.diophantine` -- continued fractions and small-divisor
-  certificates.
-* :mod:`fatou.cli` -- reproducible command-line experiments (CSV/JSON).
+The package re-exports the main names of its modules; the API table of
+README.md lists each module's public names and what the module is for.
 """
 
 import logging
 
-from .algebra import Series1C2, Series2, series1_compose_map, series1_eval, \
-    series2_exp, series2_mul
+from .algebra import Series1C2, Series2, series1_eval, series2_exp, series2_mul
 from .diophantine import GOLDEN, SILVER, QuadraticIrrational, check_sector_lemma, \
     check_siegel, continued_fraction, max_c
 from .dynamics import Grid2D, RegionUNM, estimate_limit_map, invariant_curve, \
@@ -36,7 +24,6 @@ __all__ = [
     "Series1C2",
     "series2_mul",
     "series2_exp",
-    "series1_compose_map",
     "series1_eval",
     "AutoMap",
     "four_map_composite",

@@ -236,8 +236,10 @@ def write_csv(args, header, chunks) -> None:
 def _region(args) -> RegionUNM | None:
     if getattr(args, "region", None) is None:
         return None
-    n, m = (float(x) for x in str(args.region).split(","))
-    return RegionUNM(n, m)
+    nm = str(args.region).split(",")
+    if len(nm) != 2:
+        raise ValueError(f"--region needs N,M, got {args.region!r}")
+    return RegionUNM(*map(float, nm))
 
 
 # -- subcommands -----------------------------------------------------------------

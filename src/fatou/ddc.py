@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["small_divisors"]
+
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 

@@ -121,8 +121,8 @@ class RegionUNM:
     M: float
 
     def __post_init__(self):
-        if self.N <= 0 or self.M < 0:
-            raise ValueError("need N > 0 and M >= 0")
+        if not (0 < self.N < math.inf and 0 <= self.M < math.inf):  # NaN fails too
+            raise ValueError("need finite N > 0 and M >= 0")
 
     def contains(self, zhat, w):
         return (np.real(zhat) > self.N) & (np.abs(w) < self.M)
@@ -372,7 +372,8 @@ def verify_forward_invariance(m: AutoMap, region: RegionUNM, samples: int,
 
 def find_min_invariant_N(m: AutoMap, M: float, candidates, samples: int = 500,
                          n_steps: int = 1000) -> float:
-    """Smallest candidate N whose U_{N,M} verifies forward invariant."""
+    """Smallest candidate N whose U_{N,M} verifies forward invariant: a
+    sampled value (verify_forward_invariance), not a proof of invariance."""
     for N in sorted(candidates):
         rep = verify_forward_invariance(m, RegionUNM(N, M), samples, n_steps)
         if rep.ok:
@@ -966,12 +967,16 @@ def invariant_curve(m: AutoMap, p, q_target, segments_per_step: int,
     The curve starts as the straight segment from p to F(p) sampled at
     segments_per_step points; every forward image is one more unit of curve
     parameter.  Crossings of the sphere of radius eps around q_target are
-    bisected in the segment parameter to bisect_tol.  invariance_defect is
+    bisected in the segment parameter to bisect_tol, five levels per engine
+    batch (the bracket's lower end and the 31 midpoints those levels may
+    take), with the bits of one midpoint at a time.  invariance_defect is
     the largest distance from the generator-pipeline image of a row to the
     next row.  A curve point that escapes raises MapEscapeError.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if segments_per_step < 2:
         raise ValueError("need at least 2 samples per step")
     z0, w0 = complex(p[0]), complex(p[1])

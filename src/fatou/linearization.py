@@ -28,7 +28,8 @@ radius estimate rho = 1/(a b M); solve_psi and majorant_split take delta,
 a and b from one helper.  sigma and eta come from one online recursion in
 O(D^2) through sum_{nu>=2} (nu+1) s^nu = (1-s)^-2 - 1 - 2s; a degree
 whose sigma, eta or delta is not finite in double precision raises
-MajorantOverflowError naming the sequence and the degree.
+MajorantOverflowError naming the sequence and the degree (for golden
+lambda and M = 1, sigma at n = 242 and eta at n = 270).
 
 Every operation that produces psi_n depends on n alone, not on the
 requested total order D, so the coefficients are bitwise independent of D
@@ -53,6 +54,7 @@ from .diophantine import _theta_value, check_siegel
 
 __all__ = [
     "SmallDivisors",
+    "SmallDivisorError",
     "LinearizationResult",
     "MajorantSplit",
     "MajorantOverflowError",
@@ -63,8 +65,6 @@ __all__ = [
     "majorant_sigma",
     "majorant_split",
     "eta_radius",
-    "exponential_bound_check",
-    "BoundCheck",
     "parameter_sweep",
     "SweepResult",
     "quadratic_test_family",
@@ -77,7 +77,7 @@ DD_ESCALATION_THRESHOLD = 1e-8
 
 
 class SmallDivisorError(ArithmeticError):
-    pass
+    """A small divisor fell below 1e-300: lambda is resonant to working precision."""
 
 
 class MajorantOverflowError(ArithmeticError):
@@ -449,12 +449,6 @@ class EtaRadius:
     w_star: float     # radius of convergence of eta(w)
     b: float          # 1/w_star
 
-    def eta_fn(self, x: float) -> float:
-        """eta(x) for real 0 <= x <= w_star, by bracketed bisection."""
-        if x < 0 or x > self.w_star:
-            raise ValueError("x outside [0, w_star]")
-        return _bisect(lambda e: x - _eta_implicit(e, self.M), 0.0, self.eta_star)
-
 
 def _bisect(f, lo: float, hi: float) -> float:
     """Midpoint after 200 halvings of [lo, hi], lo moving while f(mid) > 0."""
@@ -472,13 +466,12 @@ def _eta_implicit(e: float, M: float) -> float:
     return e - M * (1.0 / (1.0 - e) ** 2 - 1.0 - 2.0 * e)
 
 
-def eta_radius(M: float, check_terms: int = 0) -> EtaRadius:
+def eta_radius(M: float) -> EtaRadius:
     """Radius of the eta generating function by locating the fold.
 
     w(eta) = eta - M(1/(1-eta)^2 - 1 - 2 eta) increases from 0, folds where
     w'(eta) = 0, and eta(w) is analytic for |w| < w* = w(eta*).  Bisection
-    on the derivative locates eta*.  With check_terms > 0, the recursion's
-    eta_n are verified against C b^n (C fitted on the first 50 terms).
+    on the derivative locates eta*.
     """
     if M <= 0:
         raise ValueError("M must be > 0")
@@ -487,38 +480,7 @@ def eta_radius(M: float, check_terms: int = 0) -> EtaRadius:
         raise ValueError("degenerate fold at eta = 0")
     eta_star = _bisect(dw, 0.0, 1.0 - 1e-15)
     w_star = _eta_implicit(eta_star, M)
-    out = EtaRadius(M, eta_star, w_star, 1.0 / w_star)
-    if check_terms:
-        eta = _majorant_recursion(M, np.ones(check_terms + 1), check_terms, "eta")
-        fit_n = min(50, check_terms)
-        C = max(eta[n] / out.b**n for n in range(1, fit_n + 1))
-        for n in range(1, check_terms + 1):
-            if eta[n] > C * out.b**n * (1 + 1e-9):
-                raise ArithmeticError(
-                    f"eta recursion violates the C b^n bound at n = {n}"
-                )
-    return out
-
-
-@dataclass
-class BoundCheck:
-    C: float
-    rate: float
-    bound: float   # a * b * M
-    ok: bool
-
-
-def exponential_bound_check(result: LinearizationResult,
-                            split: MajorantSplit) -> BoundCheck:
-    """Fit ||psi_n|| <= C rate^n and check rate <= 1.1 a*b*M (10% slack)."""
-    norms = result.psi_norms().astype(float)
-    rate = _fit_growth(norms)
-    nz = [n for n in range(2, len(norms)) if norms[n] > 0]
-    bound = split.a * split.b * split.M
-    if not nz:
-        return BoundCheck(0.0, 0.0, bound, True)
-    C = max(norms[n] / rate**n for n in nz) if rate > 0 else 0.0
-    return BoundCheck(C, rate, bound, bool(rate <= bound * 1.1))
+    return EtaRadius(M, eta_star, w_star, 1.0 / w_star)
 
 
 # -- parameter sweep -----------------------------------------------------------

@@ -57,13 +57,12 @@ from fatou.dynamics import (
 from fatou.dynamics import _lockstep_iterate
 from fatou.linearization import (
     compute_small_divisors,
-    exponential_bound_check,
     majorant_split,
     parameter_sweep,
     quadratic_test_family,
     solve_psi,
 )
-from fatou.linearization import _delta_sequence
+from fatou.linearization import _delta_sequence, _fit_growth
 from fatou.maps import four_map_composite, rank0_map, rank1_map, rotation_map, \
     solve_shear_coefficients
 
@@ -307,10 +306,7 @@ def test_criterion_5_linearization():
     determinism_ok = bool(np.array_equal(res.psi.coeffs[:21], res20.psi.coeffs))
 
     sweep = parameter_sweep(quadratic_test_family, GOLDEN, [0.995, 1.0, 1.005], 20)
-    rates = []
-    for r, rr in sweep.results.items():
-        sp = majorant_split(rr.M, GOLDEN, c, 1.0, 20)
-        rates.append(exponential_bound_check(rr, sp).rate)
+    rates = [_fit_growth(rr.psi_norms()) for rr in sweep.results.values()]
     rates_ok = max(rates) / min(rates) < 1.2
     sweep_ok = sweep.smoothness_ok and not sweep.failures and rates_ok
 

@@ -401,6 +401,8 @@ def test_sector_past_the_overflow_of_r_to_the_k(tmp_path):
 
 
 LIMIT = ("limit", "--map", "rank1", "--grid-origin", "50,0.5", "--n-max", "10")
+CURVE = ("curve", "--map", "rank0", "--seed-transformed", "60,0")
+INVARIANCE = ("invariance", "--map", "rank0", "--samples", "3", "--steps", "3")
 NO_K = "k_max must be >= 1"
 BAD_GRID = "needs nz, nw >= 1 and a finite step > 0"
 
@@ -416,6 +418,13 @@ BAD_GRID = "needs nz, nw >= 1 and a finite step > 0"
     (("sweep", "--theta", "golden", "--r", "1.0,0.99", "--order", "10"), "strictly increasing"),
     (("coverage", "--map", "rank1", "--targets", "0"), "targets must be >= 1"),
     (("coverage", "--map", "rank1", "--ring-samples", "0"), "ring_samples must be >= 3"),
+    (("sector", "--theta", "golden", "--r", "1.0", "--N", "nan", "--kmax", "100"), "NaN"),
+    (("diophantine", "--theta", "golden", "--N", "nan"), "NaN"),
+    (("diophantine", "--theta", "golden", "--c", "nan", "--kmax", "100"), "need c > 0"),
+    (CURVE + ("--n-max", "-1"), "n_max must be >= 0"),
+    (CURVE + ("--eps", "nan"), "eps must be > 0"),
+    (INVARIANCE + ("--region", "nan,10"), "need finite N > 0"),
+    (INVARIANCE + ("--region", "6"), "--region needs N,M"),
 ])
 def test_empty_k_range_exits_1(tmp_path, capsys, cmd):
     # and an empty or malformed grid: one error line, no traceback or warning

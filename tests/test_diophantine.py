@@ -753,3 +753,14 @@ def test_empty_k_range_is_an_error(k_max):
         max_c_detail(GOLDEN, 1.0, k_max)
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         max_c(GOLDEN, 1.0, k_max)
+
+
+def test_a_nan_exponent_or_constant_is_an_error():
+    # 1 ** nan is 1 and no NaN bound fails a v < bound test: a NaN read as "ok"
+    with pytest.raises(ValueError, match="NaN"):
+        max_c_detail(GOLDEN, math.nan, 100)
+    with pytest.raises(ValueError, match="NaN"):
+        check_sector_lemma(GOLDEN, [1.0], 100, math.nan)
+    for c, N in ((math.nan, 1.0), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="need c > 0"):
+            check_siegel(GOLDEN, c, N, 100)

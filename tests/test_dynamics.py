@@ -55,6 +55,9 @@ def test_region_membership():
     assert not reg.contains(51 + 0j, 10.0)
     with pytest.raises(ValueError):
         RegionUNM(0.0, 1.0)
+    for n, m in ((math.nan, 10.0), (math.inf, 10.0), (6.0, math.nan), (6.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            RegionUNM(n, m)
 
 
 # -- iterate -------------------------------------------------------------
@@ -344,6 +347,12 @@ def test_waxis_coverage_rejects_too_few_ring_samples_or_targets(kwargs, name):
 
 
 # -- invariant curve ---------------------------------------------------------------
+
+
+def test_invariant_curve_rejects_a_negative_n_max_or_a_nan_eps():
+    for n_max, eps, message in ((-1, 1e-2, "n_max must be >= 0"), (10, math.nan, "eps must be > 0")):
+        with pytest.raises(ValueError, match=message):
+            invariant_curve(H0, (tr(60.0), 0.0), (0, 0), 16, n_max, eps)
 
 
 def test_invariant_curve_hits_accumulate():

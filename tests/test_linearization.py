@@ -15,7 +15,6 @@ from fatou.linearization import (
     SmallDivisorError,
     compute_small_divisors,
     eta_radius,
-    exponential_bound_check,
     linear_family,
     majorant_sigma,
     majorant_split,
@@ -26,7 +25,9 @@ from fatou.linearization import (
     solve_psi,
 )
 from fatou.linearization import (
+    _bisect,
     _delta_sequence,
+    _eta_implicit,
     _fit_growth,
     _jet_max_norm,
     _majorant_recursion,
@@ -409,7 +410,7 @@ def test_majorant_overflow_names_the_degree():
     with pytest.raises(MajorantOverflowError, match=r"sigma_n .* n = 242"):
         majorant_split(1.0, GOLDEN, c, 1.0, 400)
     with pytest.raises(MajorantOverflowError, match=r"eta_n .* n = 270"):
-        eta_radius(1.0, check_terms=400)
+        _majorant_recursion(1.0, np.ones(401), 400, "eta")
     with pytest.raises(MajorantOverflowError, match="242"):
         solve_psi(quadratic_test_family(LAM), LAM, 250)
 
@@ -548,17 +549,24 @@ def test_degree_bound_proxy():
 
 def test_eta_radius_trivials():
     er = eta_radius(1.0)
-    assert er.eta_fn(0.0) < 1e-12                 # eta(0) = 0
+
+    def eta(x):  # eta(x) for real 0 <= x <= w_star, by bisection below the fold
+        return _bisect(lambda e: x - _eta_implicit(e, er.M), 0.0, er.eta_star)
+
+    assert eta(0.0) < 1e-12                 # eta(0) = 0
     x = 1e-4
-    assert abs(er.eta_fn(x) / x - 1.0) < 1e-2     # eta(w) = w + O(w^2)
+    assert abs(eta(x) / x - 1.0) < 1e-2     # eta(w) = w + O(w^2)
 
 
 def test_eta_radius_fold_and_bound():
     # bisection fold against the closed form (1 - eta*)^3 = 2M/(1 + 2M),
     # and eta_n <= C b^n along the recursion with no violations to n = 200
-    er = eta_radius(1.0, check_terms=200)
+    er = eta_radius(1.0)
     assert abs(er.eta_star - (1 - (2.0 / 3.0) ** (1.0 / 3.0))) < 1e-12
     assert er.b == 1.0 / er.w_star
+    eta = _majorant_recursion(1.0, np.ones(201), 200, "eta")
+    C = max(eta[n] / er.b**n for n in range(1, 51))  # C fitted on the first 50 terms
+    assert [n for n in range(1, 201) if eta[n] > C * er.b**n * (1 + 1e-9)] == []
 
 
 def test_eta_radius_requires_positive_M():
@@ -571,26 +579,21 @@ def test_eta_radius_requires_positive_M():
 
 def test_bound_check_linear_trivial():
     res = solve_psi(linear_family(LAM), LAM, 10)
-    c = max_c(GOLDEN, 1.0, 50)
-    split = majorant_split(1.0, GOLDEN, c, 1.0, 10)
-    assert exponential_bound_check(res, split).ok
+    assert not res.psi_norms()[2:].any()  # psi = (w, 0): no growth to bound
 
 
 def test_bound_check_quadratic_golden():
     res = solve_psi(quadratic_test_family(LAM), LAM, 40)
     c = max_c(GOLDEN, 1.0, 100)
     split = majorant_split(res.M, GOLDEN, c, 1.0, 40)
-    bc = exponential_bound_check(res, split)
-    assert bc.ok and bc.rate < bc.bound
+    # the fitted growth rate of ||psi_n|| against the majorant rate a b M
+    rate, bound = _fit_growth(res.psi_norms()), split.a * split.b * split.M
+    assert rate < bound
 
 
 def test_sweep_rates_uniform_in_r():
     rows = parameter_sweep(quadratic_test_family, GOLDEN, [0.99, 1.0, 1.01], 24)
-    c = max_c(GOLDEN, 1.0, 100)
-    rates = []
-    for r, res in rows.results.items():
-        split = majorant_split(res.M, GOLDEN, c, 1.0, 24)
-        rates.append(exponential_bound_check(res, split).rate)
+    rates = [_fit_growth(res.psi_norms()) for res in rows.results.values()]
     assert max(rates) / min(rates) < 1.2
 
 

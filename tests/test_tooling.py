@@ -2,18 +2,22 @@
 
 perfbench/tracing.py patches fatou functions by name for `run.py --trace 1`;
 a rename or deletion under src/ would break that run, so it fails here.
-Every name in an ``__all__`` of the package and its modules resolves too,
-importing the package starts no process machinery, one function of
-fatou.dynamics decides on the split over two processes and holds the
-error state and the w-axis test of a run, psi has one arithmetic path, one function of
-fatou.linearization forms delta's growth constants, fatou.diophantine alone
-expands theta mod 1, and the README's flag table is the parser's.
+Every name in an ``__all__`` resolves too, and the README's API table is the
+public surface: a public top-level def or class is in its module's
+``__all__``, an ``__all__`` name is in the table or read by fatou.cli or
+perfbench/, and a name in the table resolves.  Importing the package starts
+no process machinery, one function of fatou.dynamics decides on the split
+over two processes and holds the error state and the w-axis test of a run,
+psi has one arithmetic path, one function of fatou.linearization forms
+delta's growth constants, fatou.diophantine alone expands theta mod 1, and
+the README's flag table is the parser's.
 """
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,17 +54,50 @@ def test_traced_targets_resolve(tracing):
     assert not missing, f"traced but not found: {missing}"
 
 
-def test_exports_resolve():
-    # a deletion under src/ must not leave a name in an __all__ behind
+def _modules():  # the package and each of its modules
     import fatou
 
-    modules = [fatou] + [importlib.import_module(f"fatou.{info.name}")
-                         for info in pkgutil.iter_modules(fatou.__path__)
-                         if not info.name.startswith("_")]
+    return [fatou] + [importlib.import_module(f"fatou.{info.name}")
+                      for info in pkgutil.iter_modules(fatou.__path__)
+                      if not info.name.startswith("_")]
+
+
+def test_exports_resolve():
+    # a deletion under src/ must not leave a name in an __all__ behind
+    modules = _modules()
     assert len(modules) == 8
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"exported but not found: {missing}"
+
+
+def test_the_readme_api_table_is_the_public_surface():
+    # one row per module: | `fatou.x` | `name`, `name`, ... | purpose |
+    root = Path(__file__).resolve().parents[1]
+    rows = [line.split("|") for line in (root / "README.md").read_text().splitlines()
+            if line.startswith("| `fatou")]
+    table = {row[1].strip(" `"): re.findall(r"`(\w+)`", row[2]) for row in rows}
+    modules = {module.__name__: module for module in _modules()}
+    assert sorted(table) == sorted(modules)
+    read = set()  # identifiers and strings that fatou.cli and perfbench/ read
+    for path in [root / "src" / "fatou" / "cli.py", *sorted((root / "perfbench").glob("*.py"))]:
+        read |= {getattr(n, f) for n in ast.walk(ast.parse(path.read_text()))
+                 for f in ("id", "attr", "name", "value") if isinstance(getattr(n, f, None), str)}
+    known = read.union(*table.values())
+    unlisted, untabled = [], []
+    for name, module in modules.items():
+        if not hasattr(module, "__all__"):  # the command alone: its surface is the flag table
+            assert name == "fatou.cli"
+            continue
+        unlisted += [f"{name}.{top.name}" for top in ast.parse(Path(module.__file__).read_text()).body
+                     if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                     and not top.name.startswith("_") and top.name not in module.__all__]
+        untabled += [f"{name}.{export}" for export in module.__all__ if export not in known]
+    unresolved = [f"{mod}.{name}" for mod, names in table.items() for name in names
+                  if not hasattr(modules[mod], name)]
+    assert unlisted == [], f"public but not in __all__: {unlisted}"
+    assert untabled == [], f"in __all__ but not in the README's API table: {untabled}"
+    assert unresolved == [], f"in the README's API table but not found: {unresolved}"
 
 
 def test_tracer_installs_and_restores(tracing):
